@@ -10,7 +10,6 @@ Serre relations, and weight additivity.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -74,11 +73,6 @@ def monomial_weight(m: Monomial, k: int) -> WeightVector:
         for idx, c in enumerate(weight_of(g, k)):
             w[idx] += c * e
     return tuple(w)
-
-
-def _weight_pairing(weight: Sequence[int], h: Sequence) -> Fraction:
-    """Evaluate a weight (eps-coordinates) on a Cartan vector (h-coordinates)."""
-    return eps_on_h(weight, h)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +155,7 @@ def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
     """Diagonal derivation multiplying each generator by its weight on h."""
     images: Dict[Generator, Element] = {}
     for g in model.generators:
-        c = _weight_pairing(weight_of(g, model.k), h)
+        c = eps_on_h(weight_of(g, model.k), h)
         if c:
             images[g] = Element.gen(g, c)
     return Derivation(0, images, model, name=name)
@@ -292,8 +286,7 @@ def _chain_failures(a: ChevalleyAction, ops: List[Derivation]) -> List[Failure]:
 
 
 def verify_action(a: ChevalleyAction,
-                  checks: Iterable[str] = ALL_CHECKS,
-                  jobs: int = 1) -> VerifyReport:
+                  checks: Iterable[str] = ALL_CHECKS) -> VerifyReport:
     """Run the selected relation checks; failures carry exact residues.
 
     chain:  every operator commutes with the differential.
@@ -315,13 +308,7 @@ def verify_action(a: ChevalleyAction,
 
     def run_chain() -> CheckReport:
         ops = ef_ops + h_ops
-        if jobs > 1 and len(ops) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                chunks = pool.map(
-                    lambda D: _chain_failures(a, [D]), ops)
-            failures = [f for chunk in chunks for f in chunk]
-        else:
-            failures = _chain_failures(a, ops)
+        failures = _chain_failures(a, ops)
         return CheckReport("chain", failures,
                            len(ops) * len(model.generators))
 
@@ -334,7 +321,7 @@ def verify_action(a: ChevalleyAction,
                 lowering = i < 0
                 idx = -i if lowering else i
                 alpha = a.simple_roots[idx]
-                scale = _weight_pairing(alpha, _unit_h(a.k, j))
+                scale = eps_on_h(alpha, _unit_h(a.k, j))
                 if lowering:
                     scale = -scale
                 got = bracket(h_op, op)
@@ -364,12 +351,7 @@ def verify_action(a: ChevalleyAction,
     def run_serre() -> CheckReport:
         failures = []
         checked = 0
-        if a.k >= 3:
-            C = cartan_matrix(a.k)
-        elif a.k == 2:
-            C = None  # single node, no pairs
-        else:
-            C = None
+        C = cartan_matrix(a.k) if a.k >= 3 else None
         for ops in (a.e, a.f):
             idxs = sorted(ops)
             for i in idxs:

@@ -3,7 +3,9 @@
 Generators commute or anticommute according to the parity of their degree.
 Monomials are kept in a canonical sorted form with the Koszul sign of any
 reordering absorbed into the coefficient, so equality of elements is plain
-dictionary equality and all arithmetic is exact (fractions.Fraction).
+dictionary equality and all arithmetic is exact.  Coefficients are stored as
+int whenever they are integral and as fractions.Fraction otherwise; since
+2 == Fraction(2) with equal hashes and equal str, the choice never shows.
 """
 
 from __future__ import annotations
@@ -35,8 +37,14 @@ _FAM_V = 2
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _q(c: Scalar) -> Scalar:
+    """The exact value of a scalar: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class UniverseError(ValueError):
@@ -94,7 +102,9 @@ class Generator:
 
     Degree of a decorated generator is the base degree minus the number of
     decorations; parity is degree mod 2.  Instances are immutable value
-    objects ordered by (family, position, decoration indices).
+    objects ordered by (family, position, decoration indices) and interned
+    by their full identity, declaration position included, so equal
+    generators always share one sort key.
     """
 
     __slots__ = ("family", "index", "base", "base_pos", "base_degree",
@@ -104,12 +114,11 @@ class Generator:
 
     def __new__(cls, family: int, index: int, base: str, base_pos: int,
                 base_degree: int, s_bits: int):
-        ident = (family, index, base, base_degree, s_bits)
-        cached = cls._interned.get(ident)
-        if cached is not None and cached.base_pos == base_pos:
-            return cached
-        self = super().__new__(cls)
-        cls._interned.setdefault(ident, self)
+        ident = (family, index, base, base_pos, base_degree, s_bits)
+        self = cls._interned.get(ident)
+        if self is None:
+            self = super().__new__(cls)
+            cls._interned[ident] = self
         return self
 
     def __init__(self, family: int, index: int, base: str, base_pos: int,
@@ -131,7 +140,7 @@ class Generator:
         else:
             self.degree = 1
             self.key = (1, index, ())
-        self._ident = (family, index, base, base_degree, s_bits)
+        self._ident = (family, index, base, base_pos, base_degree, s_bits)
         self._hash = hash(self._ident)
 
     @staticmethod
@@ -276,7 +285,7 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
     return sign, tuple(out)
 
 
-def _acc(d: Dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+def _acc(d: Dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
     cur = d.get(m)
     if cur is None:
         if c:
@@ -294,14 +303,14 @@ class Element:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None, *,
-                 _raw: Optional[Dict[Monomial, Fraction]] = None):
+    def __init__(self, terms: Optional[Dict[Monomial, Scalar]] = None, *,
+                 _raw: Optional[Dict[Monomial, Scalar]] = None):
         if _raw is not None:
             self.terms = _raw
         elif terms is None:
             self.terms = {}
         else:
-            self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+            self.terms = {m: _q(c) for m, c in terms.items() if c}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -310,21 +319,21 @@ class Element:
 
     @staticmethod
     def one() -> "Element":
-        return Element(_raw={MONOMIAL_ONE: _ONE})
+        return Element(_raw={MONOMIAL_ONE: 1})
 
     @staticmethod
     def scalar(c: Scalar) -> "Element":
-        c = Fraction(c)
+        c = _q(c)
         return Element(_raw={MONOMIAL_ONE: c} if c else {})
 
     @staticmethod
     def gen(g: Generator, c: Scalar = 1) -> "Element":
-        c = Fraction(c)
+        c = _q(c)
         return Element(_raw={((g, 1),): c} if c else {})
 
     @staticmethod
     def monomial(m: Monomial, c: Scalar = 1) -> "Element":
-        c = Fraction(c)
+        c = _q(c)
         return Element(_raw={m: c} if c else {})
 
     # -- queries ----------------------------------------------------------
@@ -346,8 +355,8 @@ class Element:
     def is_homogeneous(self, d: int) -> bool:
         return all(monomial_degree(m) == d for m in self.terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, _ZERO)
+    def coefficient(self, m: Monomial) -> Scalar:
+        return self.terms.get(m, 0)
 
     def generators(self) -> Iterator[Generator]:
         seen = set()
@@ -357,7 +366,7 @@ class Element:
                     seen.add(g)
                     yield g
 
-    def items(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[Tuple[Monomial, Scalar]]:
         return iter(self.terms.items())
 
     # -- arithmetic -------------------------------------------------------
@@ -382,7 +391,7 @@ class Element:
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if isinstance(other, Element):
-            acc: Dict[Monomial, Fraction] = {}
+            acc: Dict[Monomial, Scalar] = {}
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
                     r = monomial_product(ma, mb)
@@ -391,10 +400,10 @@ class Element:
                     sign, m = r
                     _acc(acc, m, ca * cb if sign > 0 else -ca * cb)
             return Element(_raw=acc)
-        c = Fraction(other)
+        c = _q(other)
         if not c:
             return Element.zero()
-        return Element(_raw={m: q * c for m, q in self.terms.items()})
+        return Element(_raw={m: _q(q * c) for m, q in self.terms.items()})
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.__mul__(other)

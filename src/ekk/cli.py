@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -25,16 +24,6 @@ from .derivations import derivation_basis
 from .reports import dump_json, model_latex, model_payload, model_text
 
 __all__ = ["main", "build_parser"]
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("EKK_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the relation checks for one rank")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--checks", default=",".join(ALL_CHECKS))
-    v.add_argument("--jobs", type=int, default=None)
     v.add_argument("--format", choices=["json", "text"], default="text")
     v.add_argument("--out")
 
@@ -156,9 +144,8 @@ def cmd_verify(ns) -> int:
     if bad:
         print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
         return 2
-    jobs = ns.jobs if ns.jobs else _default_jobs()
     action = build_action(ns.k)
-    report = verify_action(action, checks, jobs=jobs)
+    report = verify_action(action, checks)
     payload = {"k": ns.k, "checks": report.to_payload()}
     lines = [f"verify k={ns.k}"]
     for entry in report.to_payload():

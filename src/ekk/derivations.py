@@ -9,9 +9,10 @@ generator images.  `derivation_basis` computes the exact nullspace of the
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import Element, Generator, Monomial
+from .algebra import Element, Generator, Monomial, Scalar, monomial_product
 from .dgca import CheckReport, Dgca, Failure, s_derivation_images
 
 __all__ = [
@@ -46,15 +47,32 @@ class Derivation:
     def apply(self, x: Element) -> Element:
         """Koszul-Leibniz extension of the generator images.
 
-        The term that differentiates factor i carries the sign for moving a
-        degree-n operator past the prefix, and a second sign for computing
-        the product with the differentiated factor pulled to the end.
+        A lone generator to the first power maps straight to its image.  In
+        a longer monomial, the term that differentiates factor i carries the
+        sign for moving a degree-n operator past the prefix, and a second
+        sign for computing the product with the differentiated factor pulled
+        to the end.
         """
-        from .algebra import monomial_product
         n_par = self.degree & 1
         images = self.images
-        acc: Dict[Monomial, Fraction] = {}
-        for mono, coeff in x.items():
+        acc: Dict[Monomial, Scalar] = {}
+        for mono, coeff in x.terms.items():
+            if len(mono) == 1 and mono[0][1] == 1:
+                img = images.get(mono[0][0])
+                if img is None:
+                    continue
+                for mb, cb in img.terms.items():
+                    c2 = coeff * cb
+                    cur = acc.get(mb)
+                    if cur is None:
+                        acc[mb] = c2
+                    else:
+                        cur += c2
+                        if cur:
+                            acc[mb] = cur
+                        else:
+                            del acc[mb]
+                continue
             total = sum(g.degree * e for g, e in mono)
             pre = 0
             for idx, (g, e) in enumerate(mono):
@@ -73,6 +91,8 @@ class Derivation:
                     else:
                         cof = mono[:idx] + ((g, e - 1),) + mono[idx + 1:]
                         c = coeff * (e * sgn)
+                        if type(c) is Fraction and c.denominator == 1:
+                            c = c.numerator
                     for mb, cb in img.terms.items():
                         r = monomial_product(cof, mb)
                         if r is None:
@@ -99,9 +119,9 @@ class Derivation:
                     return False
         return True
 
-    def linear_matrix(self) -> Dict[Tuple[Generator, Generator], Fraction]:
+    def linear_matrix(self) -> Dict[Tuple[Generator, Generator], Scalar]:
         """Sparse matrix (source gen, target gen) -> coefficient."""
-        out: Dict[Tuple[Generator, Generator], Fraction] = {}
+        out: Dict[Tuple[Generator, Generator], Scalar] = {}
         for g, img in self.images.items():
             for mono, c in img.items():
                 if len(mono) != 1 or mono[0][1] != 1:
@@ -147,16 +167,29 @@ def s_derivation(i: int, m: Dgca) -> Derivation:
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
-    """Graded commutator d1 d2 - (-1)^{|d1||d2|} d2 d1, as generator images."""
+    """Graded commutator d1 d2 - (-1)^{|d1||d2|} d2 d1, as generator images.
+
+    Only generators with an image under d1 or d2 can have a nonzero image,
+    so only those are visited, in the model's generator order.
+    """
     model = d1.model or d2.model
     if model is None:
         raise ValueError("bracket needs a model to enumerate generators")
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
+    im1, im2 = d1.images, d2.images
     images: Dict[Generator, Element] = {}
-    for g in model.generators:
-        a = d1.apply(d2.image(g)) if g in d2.images else Element.zero()
-        b = d2.apply(d1.image(g)) if g in d1.images else Element.zero()
-        img = a - b if sign > 0 else a + b
+    for g in sorted(im1.keys() | im2.keys(), key=attrgetter("key")):
+        x2, x1 = im2.get(g), im1.get(g)
+        if x1 is None:
+            img = d1.apply(x2)
+        elif x2 is None:
+            img = d2.apply(x1)
+            if sign > 0:
+                img = -img
+        elif sign > 0:
+            img = d1.apply(x2) - d2.apply(x1)
+        else:
+            img = d1.apply(x2) + d2.apply(x1)
         if not img.is_zero:
             images[g] = img
     return Derivation(d1.degree + d2.degree, images, model,
@@ -201,12 +234,12 @@ class DerivationSpaceBasis:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int
-              ) -> List[Dict[int, Fraction]]:
-    """Exact nullspace basis of a sparse rational matrix.
+def _eliminate(rows: Iterable[Dict[int, Scalar]]
+               ) -> Dict[int, Dict[int, Fraction]]:
+    """Row-reduce sparse rows to pivot rows keyed by their leading column.
 
-    Rows are {column: coefficient} maps.  Returns one sparse vector per free
-    column, echelon style, exact over Q.
+    Each pivot row is scaled by Fraction(1) / its leading entry, so int
+    input stays exact rational and never turns into floats.
     """
     pivots: Dict[int, Dict[int, Fraction]] = {}
     for row in rows:
@@ -215,25 +248,37 @@ def nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                inv = 1 / row[col]
+                inv = Fraction(1) / row[col]
                 pivots[col] = {c: v * inv for c, v in row.items()}
                 break
             factor = row[col]
             for c, v in piv.items():
                 cur = row.get(c)
-                nxt = (cur if cur is not None else Fraction(0)) - factor * v
+                nxt = (cur if cur is not None else 0) - factor * v
                 if nxt:
                     row[c] = nxt
                 elif cur is not None:
                     del row[c]
-    free_cols = [c for c in range(n_unknowns) if c not in pivots]
+    return pivots
+
+
+def nullspace(rows: List[Dict[int, Scalar]], n_unknowns: int
+              ) -> List[Dict[int, Fraction]]:
+    """Exact nullspace basis of a sparse rational matrix.
+
+    Rows are {column: coefficient} maps.  Returns one sparse vector per free
+    column, echelon style, exact over Q.
+    """
+    pivots = _eliminate(rows)
     basis = []
-    for fc in free_cols:
+    for fc in range(n_unknowns):
+        if fc in pivots:
+            continue
         vec = {fc: Fraction(1)}
         # back-substitute in increasing pivot order from the bottom up
         for pc in sorted(pivots, reverse=True):
             piv = pivots[pc]
-            val = sum((vec.get(c, Fraction(0)) * v for c, v in piv.items()
+            val = sum((vec.get(c, 0) * v for c, v in piv.items()
                        if c != pc), Fraction(0))
             if val:
                 vec[pc] = -val
@@ -241,29 +286,9 @@ def nullspace(rows: List[Dict[int, Fraction]], n_unknowns: int
     return basis
 
 
-def sparse_rank(rows: Iterable[Dict[int, Fraction]]) -> int:
+def sparse_rank(rows: Iterable[Dict[int, Scalar]]) -> int:
     """Rank of a set of sparse rational vectors."""
-    pivots: Dict[int, Dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = 1 / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            factor = row[col]
-            for c, v in piv.items():
-                cur = row.get(c)
-                nxt = (cur if cur is not None else Fraction(0)) - factor * v
-                if nxt:
-                    row[c] = nxt
-                elif cur is not None:
-                    del row[c]
-    return rank
+    return len(_eliminate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +376,7 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
         index = {(g, mono): col for col, (g, mono) in enumerate(block)}
         # residual of the unit derivation at each unknown, expanded over
         # (generator, monomial) rows
-        rows: Dict[Tuple[Generator, Monomial], Dict[int, Fraction]] = {}
+        rows: Dict[Tuple[Generator, Monomial], Dict[int, Scalar]] = {}
         for (g, mono), col in index.items():
             unit = Derivation(0, {g: Element.monomial(mono)}, m)
             for gen in m.generators:

@@ -104,6 +104,7 @@ class Dgca:
         self.base_model = base_model
         self.totalization_of = totalization_of
         self._by_name = {g.name: g for g in self.generators}
+        self._d = None
         self._validate()
 
     def _validate(self) -> None:
@@ -152,9 +153,12 @@ class Dgca:
 
     # -- differential ------------------------------------------------------
     def differential_derivation(self):
-        from .derivations import Derivation
-        return Derivation(degree=1, images=dict(self.diff), model=self,
-                          name="d")
+        """d as a derivation, built on first use (the model is immutable)."""
+        if self._d is None:
+            from .derivations import Derivation
+            self._d = Derivation(degree=1, images=self.diff, model=self,
+                                 name="d")
+        return self._d
 
     def d(self, x: Element) -> Element:
         return self.differential_derivation().apply(x)

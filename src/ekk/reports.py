@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, parse_generator_name
+from .algebra import Element, Generator, Monomial, Scalar, parse_generator_name
 from .dgca import Dgca
 
 __all__ = [
@@ -37,10 +37,6 @@ def _mono_print_order(m: Monomial) -> Monomial:
 
 def _mono_sort_key(m: Monomial):
     return tuple((_print_key(g), e) for g, e in _mono_print_order(m))
-
-
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
 
 
 def element_text(x: Element, model: Optional[Dgca] = None) -> str:
@@ -85,7 +81,7 @@ def _latex_name(g: Generator, model: Optional[Dgca]) -> str:
     return " ".join(out)
 
 
-def _latex_coeff(c: Fraction) -> str:
+def _latex_coeff(c: Scalar) -> str:
     if c.denominator == 1:
         return str(abs(c.numerator))
     return rf"\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"

@@ -135,13 +135,6 @@ def test_ef_pairs_against_coroots():
     assert not bracket(a.e[1], a.f[2]).images
 
 
-def test_verify_with_jobs_matches_serial():
-    a = build_action(3)
-    serial = verify_action(a, jobs=1)
-    threaded = verify_action(a, jobs=4)
-    assert serial.to_payload() == threaded.to_payload()
-
-
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         verify_action(build_action(2), checks=("chain", "bogus"))

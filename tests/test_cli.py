@@ -206,14 +206,6 @@ def test_model_untruncated_flag(capsys):
     assert "s1s2s3s4g4" not in truncated_names
 
 
-def test_jobs_env_override(monkeypatch):
-    from ekk.cli import _default_jobs
-    monkeypatch.setenv("EKK_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("EKK_JOBS", "junk")
-    assert _default_jobs() >= 1
-
-
 def test_verify_payload_schema(capsys):
     code, out = run(capsys, "verify", "--k", "2", "--format", "json")
     assert code == 0

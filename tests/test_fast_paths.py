@@ -1,0 +1,224 @@
+"""Fast paths of the derivation kernel against slow references.
+
+`Derivation.apply` maps a lone generator straight to its image, `bracket`
+visits only the generators its operands move, and coefficients are stored
+as int whenever they are integral.  Each of these is checked here against a
+plain reference on random input, and every coefficient is checked to be
+exact (int or Fraction, never float).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ekk.action import build_action, verify_action
+from ekk.algebra import Element, UniverseError
+from ekk.dgca import model_s4, semifree_model, toroidify
+from ekk.derivations import (Derivation, bracket, derivation_basis, nullspace,
+                             s_derivation, sparse_rank)
+
+
+def _product(factors):
+    out = Element.one()
+    for g in factors:
+        out = out * Element.gen(g)
+    return out
+
+
+def _ref_apply(D: Derivation, x: Element) -> Element:
+    """D(x) by the Leibniz rule over the factors, multiplied out with `*`."""
+    out = Element.zero()
+    for mono, coeff in x.items():
+        factors = [g for g, e in mono for _ in range(e)]
+        passed = 0
+        for i, g in enumerate(factors):
+            sign = -1 if (D.degree & 1) and (passed & 1) else 1
+            out = out + Element.scalar(coeff * sign) * _product(
+                factors[:i]) * D.image(g) * _product(factors[i + 1:])
+            passed += g.degree
+    return out
+
+
+def _ref_bracket(d1: Derivation, d2: Derivation) -> Derivation:
+    """Graded commutator evaluated on every generator of the model."""
+    model = d1.model
+    sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
+    images = {}
+    for g in model.generators:
+        img = _ref_apply(d1, d2.image(g)) \
+            - _ref_apply(d2, d1.image(g)) * sign
+        if not img.is_zero:
+            images[g] = img
+    return Derivation(d1.degree + d2.degree, images, model)
+
+
+@lru_cache(maxsize=None)
+def _setting(k: int):
+    """The rank-k torus model, its named operators, and candidate images."""
+    model = toroidify(model_s4(), k)
+    a = build_action(k, model)
+    ops = [model.differential_derivation()]
+    ops += [s_derivation(i, model) for i in range(1, k + 1)]
+    ops += list(a.e.values()) + list(a.f.values())
+    ops.append(a.h(tuple(range(1, k + 2))))
+    # monomials of one or two factors, grouped by degree, for random
+    # degree-0 derivations whose images are not linear
+    by_degree = {}
+    gens = model.generators
+    for i, g in enumerate(gens):
+        by_degree.setdefault(g.degree, []).append(((g, 1),))
+        for h in gens[i:]:
+            for mono in (_product([g, h])).terms:
+                by_degree.setdefault(g.degree + h.degree, []).append(mono)
+    return model, ops, by_degree
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def elements(draw, model):
+    gens = model.generators
+    acc = Element.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        picks = draw(st.lists(st.integers(0, len(gens) - 1), max_size=3))
+        acc = acc + Element.scalar(draw(coefficients)) * _product(
+            gens[i] for i in picks)
+    return acc
+
+
+@st.composite
+def derivations(draw, k):
+    model, ops, by_degree = _setting(k)
+    choice = draw(st.integers(0, len(ops)))
+    if choice < len(ops):
+        return ops[choice]
+    images = {}
+    for g in draw(st.lists(st.sampled_from(model.generators), max_size=4)):
+        monos = by_degree.get(g.degree, [])
+        if monos:
+            images[g] = Element.monomial(draw(st.sampled_from(monos)),
+                                         draw(coefficients))
+    return Derivation(0, images, model, name="D")
+
+
+@st.composite
+def apply_cases(draw):
+    k = draw(st.integers(1, 3))
+    return draw(derivations(k)), draw(elements(_setting(k)[0]))
+
+
+@st.composite
+def bracket_cases(draw):
+    k = draw(st.integers(1, 3))
+    return draw(derivations(k)), draw(derivations(k))
+
+
+@given(apply_cases())
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_reference_leibniz(case):
+    D, x = case
+    assert D.apply(x) == _ref_apply(D, x)
+
+
+@given(bracket_cases())
+@settings(max_examples=60, deadline=None)
+def test_bracket_matches_full_generator_scan(case):
+    d1, d2 = case
+    got = bracket(d1, d2)
+    want = _ref_bracket(d1, d2)
+    assert got == want
+    assert list(got.images) == list(want.images)  # model generator order
+
+
+# -- exact coefficients -------------------------------------------------------
+
+def _assert_exact(values):
+    for c in values:
+        assert type(c) in (int, Fraction), repr(c)
+
+
+def _element_coeffs(x: Element):
+    return [c for _, c in x.items()]
+
+
+def _derivation_coeffs(D: Derivation):
+    return [c for img in D.images.values() for c in _element_coeffs(img)]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_verify_action_coefficients_are_exact(k):
+    a = build_action(k)
+    assert verify_action(a).ok
+    ops = list(a.e.values()) + list(a.f.values()) + a.h_basis()
+    for D in ops:
+        _assert_exact(_derivation_coeffs(D))
+        _assert_exact(_derivation_coeffs(bracket(D, a.e[k])))
+    for g in a.model.generators:
+        _assert_exact(_element_coeffs(a.model.diff[g]))
+    # failing checks carry residues; those must be exact too
+    g = a.model.generator("s1s2s3g7")
+    images = dict(a.e[k].images)
+    images[g] = images[g] * Fraction(3, 2)
+    bad = dataclasses.replace(a, e={**a.e, k: Derivation(
+        0, images, a.model, name=f"e{k}")})
+    report = verify_action(bad)
+    assert not report.ok
+    for check in report.checks.values():
+        for failure in check.failures:
+            _assert_exact(_element_coeffs(failure.residue))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derivation_basis_coefficients_are_exact(k):
+    for D in derivation_basis(toroidify(model_s4(), k)).basis:
+        _assert_exact(_derivation_coeffs(D))
+
+
+def test_elimination_on_int_rows_stays_exact():
+    assert nullspace([{0: 3, 1: 1}], 2) == [{0: Fraction(-1, 3), 1: 1}]
+    rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: 1}, {0: 4, 1: 11, 2: 1, 3: 12}]
+    basis = nullspace(rows, 4)
+    assert len(basis) == 4 - sparse_rank(rows) == 2
+    for vec in basis:
+        _assert_exact(vec.values())
+        for row in rows:
+            assert sum(c * vec.get(col, 0) for col, c in row.items()) == 0
+
+
+def test_integral_scalars_are_stored_as_int():
+    assert Element.scalar(Fraction(2)) == Element.scalar(2)
+    assert type(Element.scalar(Fraction(4, 2)).coefficient(())) is int
+    half = Element.scalar(Fraction(1, 2))
+    assert type((half * 2).coefficient(())) is int
+    assert (half * 2) == Element.one()
+    # the one non-integral coefficient of the sphere model survives d
+    d_g7 = model_s4().diff[model_s4().generator("g7")]
+    assert _element_coeffs(d_g7) == [Fraction(-1, 2)]
+
+
+# -- generator identity -------------------------------------------------------
+
+def test_generators_of_other_declaration_orders_are_distinct():
+    xy = semifree_model("XY", [("x", 2), ("y", 3)])
+    yx = semifree_model("YX", [("y", 3), ("x", 2)])
+    for g in xy.generators:
+        for h in yx.generators:
+            if g == h:
+                assert g.key == h.key
+    assert xy.generator("x") != yx.generator("x")
+    with pytest.raises(UniverseError):
+        xy.check_element(yx.gen_element("x") * yx.gen_element("y"))
+    # the same declaration order shares generators and canonical monomials
+    again = semifree_model("XY'", [("x", 2), ("y", 3)])
+    assert again.generator("x") is xy.generator("x")
+    assert again.gen_element("y") * again.gen_element("x") == \
+        xy.gen_element("x") * xy.gen_element("y")
