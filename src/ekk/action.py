@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algebra import Element, Generator, Monomial, s_indices_of
 from .cartan import CartanData, cartan_data, cartan_matrix, eps_on_h
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
-from .derivations import Derivation, bracket
+from .derivations import Derivation, bracket, differential_residues
 
 __all__ = [
     "WeightVector",
@@ -79,37 +79,26 @@ def monomial_weight(m: Monomial, k: int) -> WeightVector:
 # the action
 # ---------------------------------------------------------------------------
 
-def _e_small_images(i: int, model: Dgca) -> Dict[Generator, Element]:
-    """e_i for i <= k-1: e_i w_i = w_{i+1}, [e_i, s_{i+1}] = -s_i."""
+def _small_images(i: int, model: Dgca, raising: bool
+                  ) -> Dict[Generator, Element]:
+    """e_i (raising) or f_i (lowering) for i <= k-1.
+
+    e_i w_i = w_{i+1}, [e_i, s_{i+1}] = -s_i; f_i is the mirror image,
+    f_i w_{i+1} = w_i, [f_i, s_i] = -s_{i+1}.
+    """
+    w_src, w_dst = (i, i + 1) if raising else (i + 1, i)
+    bit_lo, bit_hi = 1 << (i - 1), 1 << i
+    bit_src, bit_dst = (bit_hi, bit_lo) if raising else (bit_lo, bit_hi)
     images: Dict[Generator, Element] = {}
     for g in model.generators:
         if g.is_w:
-            if g.index == i:
-                images[g] = Element.gen(Generator.w(i + 1))
+            if g.index == w_src:
+                images[g] = Element.gen(Generator.w(w_dst))
         elif g.is_decorated_base:
-            bit_lo, bit_hi = 1 << (i - 1), 1 << i
-            if (g.s_bits & bit_hi) and not (g.s_bits & bit_lo):
+            if (g.s_bits & bit_src) and not (g.s_bits & bit_dst):
                 target = Generator.decorated(
                     g.base, g.base_pos, g.base_degree,
-                    (g.s_bits & ~bit_hi) | bit_lo)
-                if target in model.generator_set:
-                    images[g] = Element.gen(target, -1)
-    return images
-
-
-def _f_small_images(i: int, model: Dgca) -> Dict[Generator, Element]:
-    """f_i for i <= k-1: f_i w_{i+1} = w_i, [f_i, s_i] = -s_{i+1}."""
-    images: Dict[Generator, Element] = {}
-    for g in model.generators:
-        if g.is_w:
-            if g.index == i + 1:
-                images[g] = Element.gen(Generator.w(i))
-        elif g.is_decorated_base:
-            bit_lo, bit_hi = 1 << (i - 1), 1 << i
-            if (g.s_bits & bit_lo) and not (g.s_bits & bit_hi):
-                target = Generator.decorated(
-                    g.base, g.base_pos, g.base_degree,
-                    (g.s_bits & ~bit_lo) | bit_hi)
+                    (g.s_bits & ~bit_src) | bit_dst)
                 if target in model.generator_set:
                     images[g] = Element.gen(target, -1)
     return images
@@ -200,8 +189,10 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
     e: Dict[int, Derivation] = {}
     f: Dict[int, Derivation] = {}
     for i in range(1, k):
-        e[i] = Derivation(0, _e_small_images(i, model), model, name=f"e{i}")
-        f[i] = Derivation(0, _f_small_images(i, model), model, name=f"f{i}")
+        e[i] = Derivation(0, _small_images(i, model, True), model,
+                          name=f"e{i}")
+        f[i] = Derivation(0, _small_images(i, model, False), model,
+                          name=f"f{i}")
     if k >= 3:
         e[k] = Derivation(0, _e_top_images(model), model, name=f"e{k}")
         data = cartan_data(k)
@@ -272,19 +263,6 @@ def _operator_residues(name: str, want: Optional[Derivation],
     return failures
 
 
-def _chain_failures(a: ChevalleyAction, ops: List[Derivation]) -> List[Failure]:
-    model = a.model
-    d = model.differential_derivation()
-    failures = []
-    for D in ops:
-        for g in model.generators:
-            residue = d.apply(D.image(g)) - D.apply(model.diff[g])
-            if not residue.is_zero:
-                failures.append(
-                    Failure(f"{D.name} @ {model.name_of(g)}", residue))
-    return failures
-
-
 def verify_action(a: ChevalleyAction,
                   checks: Iterable[str] = ALL_CHECKS) -> VerifyReport:
     """Run the selected relation checks; failures carry exact residues.
@@ -308,7 +286,8 @@ def verify_action(a: ChevalleyAction,
 
     def run_chain() -> CheckReport:
         ops = ef_ops + h_ops
-        failures = _chain_failures(a, ops)
+        failures = [Failure(f"{D.name} @ {model.name_of(g)}", residue)
+                    for D in ops for g, residue in differential_residues(D)]
         return CheckReport("chain", failures,
                            len(ops) * len(model.generators))
 

@@ -101,14 +101,15 @@ class Generator:
     """One free generator: w_i, sw_i, or an s-decorated base symbol.
 
     Degree of a decorated generator is the base degree minus the number of
-    decorations; parity is degree mod 2.  Instances are immutable value
-    objects ordered by (family, position, decoration indices) and interned
-    by their full identity, declaration position included, so equal
-    generators always share one sort key.
+    decorations; parity is degree mod 2.  Instances are immutable, ordered
+    by (family, position, decoration indices) and interned by their full
+    identity, declaration position included.  Interning makes two generators
+    with the same identity one object, so equality and hashing are those of
+    the object itself, and equal generators always share one sort key.
     """
 
     __slots__ = ("family", "index", "base", "base_pos", "base_degree",
-                 "s_bits", "degree", "key", "_ident", "_hash")
+                 "s_bits", "degree", "key")
 
     _interned: Dict[tuple, "Generator"] = {}
 
@@ -140,8 +141,6 @@ class Generator:
         else:
             self.degree = 1
             self.key = (1, index, ())
-        self._ident = (family, index, base, base_pos, base_degree, s_bits)
-        self._hash = hash(self._ident)
 
     @staticmethod
     def w(i: int) -> "Generator":
@@ -183,16 +182,6 @@ class Generator:
         if self.family == _FAM_SW:
             return f"sw{self.index}"
         return "".join(f"s{i}" for i in self.s_indices) + self.base
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Generator):
-            return NotImplemented
-        return self._ident == other._ident
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Generator({self.name}, deg={self.degree})"
@@ -266,7 +255,7 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
     while i < la and j < lb:
         ga, ea = a[i]
         gb, eb = b[j]
-        if ga == gb:
+        if ga is gb:
             if ga.degree & 1:
                 return None
             out.append((ga, ea + eb))

@@ -121,10 +121,15 @@ def _build_space(ns) -> Dgca:
 def cmd_model(ns) -> int:
     started = time.monotonic()
     if ns.k < 0:
-        raise SystemExit(2)
+        print("model needs k >= 0", file=sys.stderr)
+        return 2
+    if ns.untruncated and ns.space != "torus":
+        print(f"--untruncated applies only to --space torus, not {ns.space}",
+              file=sys.stderr)
+        return 2
     model = _build_space(ns)
     weights = None
-    if ns.space in ("torus", "cyclic", "loop", "sphere") and not ns.untruncated:
+    if not ns.untruncated:
         weights = {g: weight_of(g, model.k) for g in model.generators}
     payload = model_payload(model, weights)
     if ns.format == "latex":

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .algebra import Element, Generator, Monomial, Scalar, monomial_product
 from .dgca import CheckReport, Dgca, Failure, s_derivation_images
@@ -21,6 +22,7 @@ __all__ = [
     "s_derivation",
     "bracket",
     "commutes_with_differential",
+    "differential_residues",
     "derivation_basis",
     "nullspace",
     "FULL_MODE_GENERATOR_CAP",
@@ -32,7 +34,7 @@ FULL_MODE_GENERATOR_CAP = 8
 class Derivation:
     """A graded derivation determined by generator images."""
 
-    __slots__ = ("degree", "images", "model", "name")
+    __slots__ = ("degree", "images", "model", "name", "diagonal")
 
     def __init__(self, degree: int, images: Dict[Generator, Element],
                  model: Optional[Dgca] = None, name: str = ""):
@@ -40,6 +42,9 @@ class Derivation:
         self.images = {g: img for g, img in images.items() if not img.is_zero}
         self.model = model
         self.name = name
+        #: generator -> weight when the derivation has degree 0 and maps
+        #: every generator to a multiple of itself, else None
+        self.diagonal = _weights(self.images) if degree == 0 else None
 
     def image(self, g: Generator) -> Element:
         return self.images.get(g, Element.zero())
@@ -47,15 +52,30 @@ class Derivation:
     def apply(self, x: Element) -> Element:
         """Koszul-Leibniz extension of the generator images.
 
-        A lone generator to the first power maps straight to its image.  In
-        a longer monomial, the term that differentiates factor i carries the
-        sign for moving a degree-n operator past the prefix, and a second
-        sign for computing the product with the differentiated factor pulled
-        to the end.
+        A diagonal derivation scales each monomial by the sum of its factors'
+        weights.  Otherwise a lone generator to the first power maps straight
+        to its image.  In a longer monomial, the term that differentiates
+        factor i carries the sign for moving a degree-n operator past the
+        prefix, and a second sign for computing the product with the
+        differentiated factor pulled to the end.
         """
+        acc: Dict[Monomial, Scalar] = {}
+        weights = self.diagonal
+        if weights is not None:
+            for mono, coeff in x.terms.items():
+                s = 0
+                for g, e in mono:
+                    c = weights.get(g)
+                    if c is not None:
+                        s += c * e
+                if s:
+                    c = coeff * s
+                    if type(c) is Fraction and c.denominator == 1:
+                        c = c.numerator
+                    acc[mono] = c
+            return Element(_raw=acc)
         n_par = self.degree & 1
         images = self.images
-        acc: Dict[Monomial, Scalar] = {}
         for mono, coeff in x.terms.items():
             if len(mono) == 1 and mono[0][1] == 1:
                 img = images.get(mono[0][0])
@@ -73,12 +93,14 @@ class Derivation:
                         else:
                             del acc[mb]
                 continue
-            total = sum(g.degree * e for g, e in mono)
+            total = None
             pre = 0
             for idx, (g, e) in enumerate(mono):
                 img = images.get(g)
                 block = g.degree * e
                 if img is not None:
+                    if total is None:
+                        total = sum(h.degree * f for h, f in mono)
                     suf = (total - pre - block) & 1
                     sgn = 1
                     if n_par and (pre & 1):
@@ -160,6 +182,20 @@ class Derivation:
         return f"Derivation(deg={self.degree}, {label})"
 
 
+def _weights(images: Dict[Generator, Element]
+             ) -> Optional[Dict[Generator, Scalar]]:
+    """Generator -> c when every image is c times its own generator."""
+    out: Dict[Generator, Scalar] = {}
+    for g, img in images.items():
+        if len(img.terms) != 1:
+            return None
+        for mono, c in img.terms.items():
+            if len(mono) != 1 or mono[0][0] is not g or mono[0][1] != 1:
+                return None
+            out[g] = c
+    return out
+
+
 def s_derivation(i: int, m: Dgca) -> Derivation:
     """The decoration operator s_i as a degree -1 derivation of m."""
     return Derivation(degree=-1, images=s_derivation_images(i, m), model=m,
@@ -170,15 +206,24 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Graded commutator d1 d2 - (-1)^{|d1||d2|} d2 d1, as generator images.
 
     Only generators with an image under d1 or d2 can have a nonzero image,
-    so only those are visited, in the model's generator order.
+    so only those are visited, in the model's generator order.  A diagonal
+    operand h has [h, D] g = 0 wherever D g = 0, so then only the other
+    operand's generators are visited, and none when both are diagonal.
     """
     model = d1.model or d2.model
     if model is None:
         raise ValueError("bracket needs a model to enumerate generators")
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
     im1, im2 = d1.images, d2.images
+    if d1.diagonal is not None and d2.diagonal is not None:
+        order = []
+    elif d1.diagonal is not None or d2.diagonal is not None:
+        moved = im2 if d1.diagonal is not None else im1
+        order = [g for g in model.generators if g in moved]
+    else:
+        order = sorted(im1.keys() | im2.keys(), key=attrgetter("key"))
     images: Dict[Generator, Element] = {}
-    for g in sorted(im1.keys() | im2.keys(), key=attrgetter("key")):
+    for g in order:
         x2, x1 = im2.get(g), im1.get(g)
         if x1 is None:
             img = d1.apply(x2)
@@ -196,21 +241,37 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
                       name=f"[{d1.name},{d2.name}]")
 
 
-def commutes_with_differential(D: Derivation) -> CheckReport:
-    """Residues of [d, D] on every generator of D's model."""
-    if D.model is None:
-        raise ValueError("derivation carries no model")
+def differential_residues(D: Derivation
+                          ) -> Iterator[Tuple[Generator, Element]]:
+    """The nonzero residues [d, D] g, generator by generator in model order.
+
+    [d, D] g = d(D g) - (-1)^{|D|} D(d g) is zero unless D moves g or d g
+    uses a generator D moves, so only those generators are visited.
+    """
     m = D.model
+    if m is None:
+        raise ValueError("derivation carries no model")
     d = m.differential_derivation()
     odd = D.degree & 1
-    failures = []
-    for g in m.generators:
-        # [d, D](g) = d(D g) - (-1)^{|D|} D(d g)
-        residue = d.apply(D.image(g))
+    images = D.images
+    for g in m.reached_from(images):
         tail = D.apply(m.diff[g])
+        img = images.get(g)
+        if img is None:
+            if not tail.is_zero:
+                yield g, tail if odd else -tail
+            continue
+        residue = d.apply(img)
         residue = residue + tail if odd else residue - tail
         if not residue.is_zero:
-            failures.append(Failure(m.name_of(g), residue))
+            yield g, residue
+
+
+def commutes_with_differential(D: Derivation) -> CheckReport:
+    """Residues of [d, D] on every generator of D's model."""
+    m = D.model
+    failures = [Failure(m.name_of(g), residue)
+                for g, residue in differential_residues(D)]
     return CheckReport(f"[d,{D.name or 'D'}]=0 on {m.label}", failures,
                        len(m.generators))
 
@@ -370,7 +431,6 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
     for g, mono in candidates:
         blocks.setdefault(shift(g, mono), []).append((g, mono))
 
-    d = m.differential_derivation()
     basis: List[Derivation] = []
     for _, block in sorted(blocks.items()):
         index = {(g, mono): col for col, (g, mono) in enumerate(block)}
@@ -379,8 +439,7 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
         rows: Dict[Tuple[Generator, Monomial], Dict[int, Scalar]] = {}
         for (g, mono), col in index.items():
             unit = Derivation(0, {g: Element.monomial(mono)}, m)
-            for gen in m.generators:
-                residue = d.apply(unit.image(gen)) - unit.apply(m.diff[gen])
+            for gen, residue in differential_residues(unit):
                 for mres, c in residue.items():
                     rows.setdefault((gen, mres), {})[col] = c
         vectors = nullspace(list(rows.values()), len(block))

@@ -105,6 +105,7 @@ class Dgca:
         self.totalization_of = totalization_of
         self._by_name = {g.name: g for g in self.generators}
         self._d = None
+        self._reach = None
         self._validate()
 
     def _validate(self) -> None:
@@ -162,6 +163,30 @@ class Dgca:
 
     def d(self, x: Element) -> Element:
         return self.differential_derivation().apply(x)
+
+    def reached_from(self, moved: Iterable[Generator]) -> List[Generator]:
+        """Generators, in model order, that are in `moved` or whose
+        differential uses a generator in `moved`.
+
+        A derivation D that moves only `moved` has [d, D] g = 0 on every
+        other generator g, by the Leibniz rule.  The reverse index behind
+        this is built on first use; it holds generator positions as tuples,
+        which take far less memory than sets.
+        """
+        if self._reach is None:
+            users: Dict[Generator, List[int]] = {
+                g: [i] for i, g in enumerate(self.generators)}
+            for i, g in enumerate(self.generators):
+                for h in self.diff[g].generators():
+                    users[h].append(i)
+            self._reach = {g: tuple(sorted(set(pos)))
+                           for g, pos in users.items()}
+        reach = self._reach
+        hit = set()
+        for g in moved:
+            hit.update(reach.get(g, ()))
+        gens = self.generators
+        return [gens[i] for i in sorted(hit)]
 
     def with_diff(self, replacements: Dict[Generator, Element],
                   label: Optional[str] = None) -> "Dgca":

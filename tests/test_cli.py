@@ -214,3 +214,18 @@ def test_verify_payload_schema(capsys):
     for entry in data["payload"]["checks"]:
         assert set(entry) == {"k", "check", "status", "failures"}
         assert entry["k"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--k", "-1"],
+    ["model", "--k", "2", "--space", "sphere", "--untruncated"],
+    ["model", "--k", "2", "--space", "loop", "--untruncated"],
+    ["model", "--k", "1", "--space", "cyclic", "--untruncated"],
+])
+def test_model_bad_input_one_line_exit_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err

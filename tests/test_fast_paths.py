@@ -1,8 +1,12 @@
 """Fast paths of the derivation kernel against slow references.
 
-`Derivation.apply` maps a lone generator straight to its image, `bracket`
-visits only the generators its operands move, and coefficients are stored
-as int whenever they are integral.  Each of these is checked here against a
+`Derivation.apply` scales each monomial by a diagonal derivation's weights
+and maps a lone generator straight to its image.  `bracket` visits only the
+generators its operands move, only the other operand's generators when one
+operand is diagonal, and none when both are.  `differential_residues` visits
+only the generators a derivation moves and those whose differential uses
+one, found through the model's reverse index.  Coefficients are stored as
+int whenever they are integral.  Each of these is checked here against a
 plain reference on random input, and every coefficient is checked to be
 exact (int or Fraction, never float).
 """
@@ -20,8 +24,9 @@ from hypothesis import strategies as st
 from ekk.action import build_action, verify_action
 from ekk.algebra import Element, UniverseError
 from ekk.dgca import model_s4, semifree_model, toroidify
-from ekk.derivations import (Derivation, bracket, derivation_basis, nullspace,
-                             s_derivation, sparse_rank)
+from ekk.derivations import (Derivation, bracket, derivation_basis,
+                             differential_residues, nullspace, s_derivation,
+                             sparse_rank)
 
 
 def _product(factors):
@@ -58,10 +63,20 @@ def _ref_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(d1.degree + d2.degree, images, model)
 
 
+def _corrupted(model):
+    """A copy whose d(s1g4) also uses g4 and w1, which it did not before."""
+    g = model.generator("s1g4")
+    extra = model.gen_element("g4") + model.gen_element("w1") ** 2
+    return model.with_diff({g: model.diff[g] + extra})
+
+
 @lru_cache(maxsize=None)
-def _setting(k: int):
-    """The rank-k torus model, its named operators, and candidate images."""
+def _setting(k: int, corrupt: bool = False):
+    """The rank-k torus model (or its corrupted copy), its named operators,
+    and candidate images."""
     model = toroidify(model_s4(), k)
+    if corrupt:
+        model = _corrupted(model)
     a = build_action(k, model)
     ops = [model.differential_derivation()]
     ops += [s_derivation(i, model) for i in range(1, k + 1)]
@@ -96,18 +111,25 @@ def elements(draw, model):
 
 
 @st.composite
-def derivations(draw, k):
-    model, ops, by_degree = _setting(k)
-    choice = draw(st.integers(0, len(ops)))
+def derivations(draw, k, corrupt=False):
+    """A named operator, a random diagonal derivation, or a random one of
+    degree -1, 0 or 1 whose images are generators or two-factor monomials."""
+    model, ops, by_degree = _setting(k, corrupt)
+    choice = draw(st.integers(0, len(ops) + 1))
     if choice < len(ops):
         return ops[choice]
+    picks = draw(st.lists(st.sampled_from(model.generators), max_size=4))
+    if choice == len(ops):
+        return Derivation(0, {g: Element.gen(g, draw(coefficients))
+                              for g in picks}, model, name="h")
+    degree = draw(st.sampled_from((-1, 0, 1)))
     images = {}
-    for g in draw(st.lists(st.sampled_from(model.generators), max_size=4)):
-        monos = by_degree.get(g.degree, [])
+    for g in picks:
+        monos = by_degree.get(g.degree + degree, [])
         if monos:
             images[g] = Element.monomial(draw(st.sampled_from(monos)),
                                          draw(coefficients))
-    return Derivation(0, images, model, name="D")
+    return Derivation(degree, images, model, name="D")
 
 
 @st.composite
@@ -137,6 +159,28 @@ def test_bracket_matches_full_generator_scan(case):
     want = _ref_bracket(d1, d2)
     assert got == want
     assert list(got.images) == list(want.images)  # model generator order
+
+
+@st.composite
+def residue_cases(draw):
+    return draw(derivations(draw(st.integers(1, 3)), draw(st.booleans())))
+
+
+@given(residue_cases())
+@settings(max_examples=150, deadline=None)
+def test_residues_match_full_generator_scan(D):
+    """[d, D] on every generator of the model, clean or corrupted, against
+    the residues visited through the model's own reverse index."""
+    m = D.model
+    d = m.differential_derivation()
+    sign = -1 if D.degree & 1 else 1
+    want = []
+    for g in m.generators:
+        residue = _ref_apply(d, D.image(g)) \
+            - _ref_apply(D, m.diff[g]) * sign
+        if not residue.is_zero:
+            want.append((g, residue))
+    assert list(differential_residues(D)) == want
 
 
 # -- exact coefficients -------------------------------------------------------
