@@ -215,15 +215,13 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
         raise ValueError("bracket needs a model to enumerate generators")
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
     im1, im2 = d1.images, d2.images
-    if d1.diagonal is not None and d2.diagonal is not None:
-        order = []
-    elif d1.diagonal is not None or d2.diagonal is not None:
-        moved = im2 if d1.diagonal is not None else im1
-        order = [g for g in model.generators if g in moved]
-    else:
-        order = sorted(im1.keys() | im2.keys(), key=attrgetter("key"))
+    moved = set()
+    if d1.diagonal is None:
+        moved.update(im1)
+    if d2.diagonal is None:
+        moved.update(im2)
     images: Dict[Generator, Element] = {}
-    for g in order:
+    for g in sorted(moved, key=attrgetter("key")):
         x2, x1 = im2.get(g), im1.get(g)
         if x1 is None:
             img = d1.apply(x2)

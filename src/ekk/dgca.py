@@ -175,12 +175,13 @@ class Dgca:
         """
         if self._reach is None:
             users: Dict[Generator, List[int]] = {
-                g: [i] for i, g in enumerate(self.generators)}
+                g: [] for g in self.generators}
             for i, g in enumerate(self.generators):
+                users[g].append(i)
                 for h in self.diff[g].generators():
-                    users[h].append(i)
-            self._reach = {g: tuple(sorted(set(pos)))
-                           for g, pos in users.items()}
+                    if h is not g:
+                        users[h].append(i)
+            self._reach = {g: tuple(pos) for g, pos in users.items()}
         reach = self._reach
         hit = set()
         for g in moved:

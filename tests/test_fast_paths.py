@@ -83,7 +83,7 @@ def _setting(k: int, corrupt: bool = False):
     ops += list(a.e.values()) + list(a.f.values())
     ops.append(a.h(tuple(range(1, k + 2))))
     # monomials of one or two factors, grouped by degree, for random
-    # degree-0 derivations whose images are not linear
+    # derivations of degree -1, 0 or 1 whose images are not linear
     by_degree = {}
     gens = model.generators
     for i, g in enumerate(gens):
