@@ -187,7 +187,8 @@ class Generator:
         return f"Generator({self.name}, deg={self.degree})"
 
 
-_NAME_RE = re.compile(r"^((?:s\d+)*)(w\d+|sw\d+|[A-Za-z]\w*)$")
+_NAME_RE = re.compile(
+    r"^(?P<prefix>(?:s\d+)*)(?:(?P<poly>w\d+|sw\d+)|(?P<base>[A-Za-z]\w*))$")
 
 
 def parse_generator_name(name: str, base_table: Dict[str, Tuple[int, int]]) -> Generator:
@@ -200,15 +201,12 @@ def parse_generator_name(name: str, base_table: Dict[str, Tuple[int, int]]) -> G
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"unparseable generator name {name!r}")
-    prefix, core = m.groups()
-    if core.startswith("sw") and core[2:].isdigit():
+    prefix, poly, core = m.groups()
+    if poly:
         if prefix:
-            raise ValueError(f"sw generators take no decorations: {name!r}")
-        return Generator.sw(int(core[2:]))
-    if core.startswith("w") and core[1:].isdigit():
-        if prefix:
-            raise ValueError(f"w generators take no decorations: {name!r}")
-        return Generator.w(int(core[1:]))
+            raise ValueError(f"{poly} takes no decorations: {name!r}")
+        index = int(poly.lstrip("sw"))
+        return Generator.sw(index) if poly[0] == "s" else Generator.w(index)
     if core not in base_table:
         raise ValueError(f"unknown base symbol {core!r} in {name!r}")
     pos, deg = base_table[core]

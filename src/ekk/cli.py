@@ -18,7 +18,7 @@ from . import adjunction as adj
 from .action import (ALL_CHECKS, build_action, verify_action, weight_of)
 from .cartan import (FINITE_RANGE, cartan_matrix, parabolic_split,
                      positive_roots)
-from .dgca import (Dgca, cyclification_model, free_loop_model,
+from .dgca import (MAX_RANK, Dgca, cyclification_model, free_loop_model,
                    is_chain_map, model_s4, toroidify)
 from .derivations import derivation_basis
 from .reports import dump_json, model_latex, model_payload, model_text
@@ -120,12 +120,16 @@ def _build_space(ns) -> Dgca:
 
 def cmd_model(ns) -> int:
     started = time.monotonic()
-    if ns.k < 0:
-        print("model needs k >= 0", file=sys.stderr)
+    if not 0 <= ns.k <= MAX_RANK:
+        print(f"model supports 0 <= k <= {MAX_RANK}", file=sys.stderr)
         return 2
     if ns.untruncated and ns.space != "torus":
         print(f"--untruncated applies only to --space torus, not {ns.space}",
               file=sys.stderr)
+        return 2
+    fixed_rank = {"sphere": 0, "cyclic": 1}.get(ns.space)
+    if fixed_rank is not None and ns.k != fixed_rank:
+        print(f"--space {ns.space} needs --k {fixed_rank}", file=sys.stderr)
         return 2
     model = _build_space(ns)
     weights = None
@@ -162,7 +166,6 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_roots(ns) -> int:
-    started = time.monotonic()
     if ns.k not in FINITE_RANGE:
         print("roots supports 3 <= k <= 8", file=sys.stderr)
         return 2
@@ -171,13 +174,10 @@ def cmd_roots(ns) -> int:
                "positive": [list(r) for r in system.positive]}
     lines = [f"k={ns.k}: {system.count} positive roots"]
     lines.extend("  " + " ".join(map(str, r)) for r in system.positive)
-    return _emit(ns, payload if ns.format == "json"
-                 else _report(f"roots --k {ns.k}", True, payload, started),
-                 "\n".join(lines), True)
+    return _emit(ns, payload, "\n".join(lines), True)
 
 
 def cmd_parabolic(ns) -> int:
-    started = time.monotonic()
     if ns.k not in FINITE_RANGE:
         print("parabolic supports 3 <= k <= 8", file=sys.stderr)
         return 2
@@ -186,22 +186,20 @@ def cmd_parabolic(ns) -> int:
                "n": split.dim_nilradical, "total": split.dim_total}
     text = (f"k={ns.k}: m={payload['m']} a={payload['a']} "
             f"n={payload['n']} total={payload['total']}")
-    return _emit(ns, payload if ns.format == "json"
-                 else _report(f"parabolic --k {ns.k}", True, payload, started),
-                 text, True)
+    return _emit(ns, payload, text, True)
 
 
 def cmd_derivations(ns) -> int:
-    started = time.monotonic()
-    if ns.k < 0 or (ns.mode == "full" and ns.k > 1):
+    if ns.k < 0:
+        print("derivations needs k >= 0", file=sys.stderr)
+        return 2
+    if ns.mode == "full" and ns.k > 1:
         print("derivations: full mode supports k <= 1", file=sys.stderr)
         return 2
     model = toroidify(model_s4(), ns.k)
     basis = derivation_basis(model, ns.mode)
     payload = {"dimension": basis.dimension}
-    return _emit(ns, payload if ns.format == "json"
-                 else _report(f"derivations --k {ns.k}", True, payload,
-                              started),
+    return _emit(ns, payload,
                  f"dim Der({model.label}, {ns.mode}) = {basis.dimension}",
                  True)
 

@@ -138,14 +138,6 @@ class Dgca:
     def name_of(self, g: Generator) -> str:
         return self.display.get(g, g.name)
 
-    def base_symbols(self) -> Tuple[Tuple[str, int], ...]:
-        """Declared base symbols (name, degree) of the undecorated part."""
-        seen: Dict[str, int] = {}
-        for g in self.generators:
-            if g.is_decorated_base and g.base not in seen:
-                seen[g.base] = g.base_degree
-        return tuple(seen.items())
-
     def check_element(self, x: Element) -> None:
         for g in x.generators():
             if g not in self.generator_set:
@@ -273,27 +265,6 @@ def s_derivation_images(i: int, model: Dgca) -> Dict[Generator, Element]:
     return images
 
 
-def _apply_s_word(indices: Sequence[int], x: Element, model: Dgca,
-                  s_ops: Optional[Dict[int, "Derivation"]] = None) -> Element:
-    """Apply the operator word s_{i_1} ... s_{i_p} (innermost last index)."""
-    from .derivations import Derivation
-    for i in sorted(indices, reverse=True):
-        if s_ops is not None:
-            op = s_ops[i]
-        else:
-            op = Derivation(degree=-1, images=s_derivation_images(i, model),
-                            model=model)
-        x = op.apply(x)
-    return x
-
-
-def _make_s_ops(model: Dgca) -> Dict[int, "Derivation"]:
-    from .derivations import Derivation
-    return {i: Derivation(degree=-1, images=s_derivation_images(i, model),
-                          model=model, name=f"s{i}")
-            for i in range(1, model.k + 1)}
-
-
 # ---------------------------------------------------------------------------
 # model constructors
 # ---------------------------------------------------------------------------
@@ -332,52 +303,87 @@ def model_s4() -> Dgca:
     return Dgca("S4", 0, [g4, g7], diff)
 
 
+_NamedTerms = Sequence[Tuple[Scalar, Sequence[str]]]
+
+
+def _element_from_names(terms: _NamedTerms,
+                        gens: Dict[str, Generator]) -> Element:
+    """Sum of the (coefficient, [factor names]) terms over `gens`."""
+    acc = Element.zero()
+    for coeff, factors in terms:
+        piece = Element.scalar(coeff)
+        for f in factors:
+            if f not in gens:
+                raise ValueError(f"undeclared generator {f!r}")
+            piece = piece * Element.gen(gens[f])
+        acc = acc + piece
+    return acc
+
+
 def semifree_model(label: str, symbols: Sequence[Tuple[str, int]],
-                   diff_names: Optional[Dict[str, List[Tuple[Scalar,
-                                                             List[str]]]]]
-                   = None) -> Dgca:
+                   diff_names: Optional[Dict[str, _NamedTerms]] = None) -> Dgca:
     """Build a small semifree model from names.
 
     `symbols` lists (name, degree) in declaration order; `diff_names` maps a
     generator name to a list of (coefficient, [factor names]) terms.
     """
-    gens = {name: Generator.decorated(name, pos, deg)
-            for pos, (name, deg) in enumerate(symbols)}
-    diff: Dict[Generator, Element] = {g: Element.zero() for g in gens.values()}
-    for name, terms in (diff_names or {}).items():
-        acc = Element.zero()
-        for coeff, factors in terms:
-            piece = Element.scalar(coeff)
-            for f in factors:
-                piece = piece * Element.gen(gens[f])
-            acc = acc + piece
-        diff[gens[name]] = acc
-    return Dgca(label, 0, list(gens.values()), diff)
+    return model_over_w(label, 0, symbols, diff_names)
 
 
 def model_over_w(label: str, k: int, symbols: Sequence[Tuple[str, int]],
-                 diff_names: Optional[Dict[str, List[Tuple[Scalar,
-                                                           List[str]]]]]
-                 = None) -> Dgca:
+                 diff_names: Optional[Dict[str, _NamedTerms]] = None) -> Dgca:
     """Semifree model over Q[w_1..w_k]: named generators plus the w's.
 
     Factor name "wi" refers to the polynomial generator w_i; d w_i = 0.
     """
-    gens: Dict[str, Generator] = {}
-    for i in range(1, k + 1):
-        gens[f"w{i}"] = Generator.w(i)
+    gens = {f"w{i}": Generator.w(i) for i in range(1, k + 1)}
     for pos, (name, deg) in enumerate(symbols):
         gens[name] = Generator.decorated(name, pos, deg)
-    diff: Dict[Generator, Element] = {g: Element.zero() for g in gens.values()}
+    diff = {g: Element.zero() for g in gens.values()}
     for name, terms in (diff_names or {}).items():
-        acc = Element.zero()
-        for coeff, factors in terms:
-            piece = Element.scalar(coeff)
-            for f in factors:
-                piece = piece * Element.gen(gens[f])
-            acc = acc + piece
-        diff[gens[name]] = acc
+        diff[gens[name]] = _element_from_names(terms, gens)
     return Dgca(label, k, list(gens.values()), diff)
+
+
+def _decorated_model(m: Dgca, k: int, truncated: bool, with_w: bool) -> Dgca:
+    """The rank-k decorated model over the undecorated base model m.
+
+    This is the one construction body behind `toroidify` (with the w's) and
+    `free_loop_model` (without them, and so without the w twist).
+    """
+    from .derivations import s_derivation
+    if k < 0:
+        raise ValueError(f"rank must be >= 0, got {k}")
+    if k > MAX_RANK:
+        raise ValueError(f"rank {k} exceeds bitmask capacity {MAX_RANK}")
+    gens = _decorated_generators(_check_base_input(m), k, truncated)
+    w_gens = [Generator.w(i) for i in range(1, k + 1)] if with_w else []
+    all_gens = gens + w_gens
+    shell = Dgca("shell", k, all_gens, {g: Element.zero() for g in all_gens})
+    s_ops = [s_derivation(i, shell) for i in range(1, k + 1)]
+    base_diff = {g.base: m.diff[g] for g in m.generators}
+    twisted: Dict[str, Element] = {}
+    for v in gens:
+        if v.s_bits:
+            continue
+        img = base_diff[v.base]
+        for w in w_gens:
+            s_v = Generator.decorated(v.base, v.base_pos, v.base_degree,
+                                      1 << (w.index - 1))
+            if s_v in shell.generator_set:
+                img = img + Element.gen(w) * Element.gen(s_v)
+        twisted[v.base] = img
+    diff: Dict[Generator, Element] = {w: Element.zero() for w in w_gens}
+    for g in gens:
+        img = twisted[g.base]
+        for i in reversed(g.s_indices):
+            img = s_ops[i - 1].apply(img)
+        diff[g] = -img if g.s_bits.bit_count() & 1 else img
+    if with_w:
+        label = f"{'' if truncated else '~'}T^{k}({m.label})"
+    else:
+        label = f"L^{k}({m.label})"
+    return Dgca(label, k, all_gens, diff, truncated=truncated, base_model=m)
 
 
 def free_loop_model(m: Dgca, k: int) -> Dgca:
@@ -386,24 +392,7 @@ def free_loop_model(m: Dgca, k: int) -> Dgca:
     d commutes with every s_i up to the parity of the decoration word:
     d(s_I v) = (-1)^|I| s_I(d v).
     """
-    if k < 0:
-        raise ValueError(f"rank must be >= 0, got {k}")
-    if k > MAX_RANK:
-        raise ValueError(f"rank {k} exceeds bitmask capacity {MAX_RANK}")
-    base_syms = _check_base_input(m)
-    gens = _decorated_generators(base_syms, k, truncated=True)
-    shell = Dgca(f"L^{k}S4-shell", k, gens,
-                 {g: Element.zero() for g in gens},
-                 base_model=m)
-    s_ops = _make_s_ops(shell)
-    diff: Dict[Generator, Element] = {}
-    base_diff = {g.base: m.diff[g] for g in m.generators}
-    for g in shell.generators:
-        img = _apply_s_word(g.s_indices, base_diff[g.base], shell, s_ops)
-        if g.s_bits.bit_count() & 1:
-            img = -img
-        diff[g] = img
-    return Dgca(f"L^{k}({m.label})", k, gens, diff, base_model=m)
+    return _decorated_model(m, k, truncated=True, with_w=False)
 
 
 def toroidify(m: Dgca, k: int, truncated: bool = True) -> Dgca:
@@ -414,69 +403,20 @@ def toroidify(m: Dgca, k: int, truncated: bool = True) -> Dgca:
     word with the sign (-1)^|I|.  With `truncated` every generator of
     non-positive degree is dropped and any operator producing it gives zero.
     """
-    if k < 0:
-        raise ValueError(f"rank must be >= 0, got {k}")
-    if k > MAX_RANK:
-        raise ValueError(f"rank {k} exceeds bitmask capacity {MAX_RANK}")
-    base_syms = _check_base_input(m)
-    gens = _decorated_generators(base_syms, k, truncated)
-    w_gens = [Generator.w(i) for i in range(1, k + 1)]
-    all_gens = gens + w_gens
-    shell = Dgca("T-shell", k, all_gens,
-                 {g: Element.zero() for g in all_gens},
-                 truncated=truncated, base_model=m)
-    s_ops = _make_s_ops(shell)
-    base_diff = {g.base: m.diff[g] for g in m.generators}
-    base_pos = {g.base: (g.base_pos, g.base_degree) for g in m.generators}
-    diff: Dict[Generator, Element] = {g: Element.zero() for g in w_gens}
-    # d on the undecorated generator, inside the bigger model
-    twisted: Dict[str, Element] = {}
-    for name, (pos, deg) in base_pos.items():
-        img = base_diff[name]
-        for i in range(1, k + 1):
-            s_i_v = Generator.decorated(name, pos, deg, s_bits_of([i]))
-            if s_i_v in shell.generator_set:
-                img = img + Element.gen(Generator.w(i)) * Element.gen(s_i_v)
-        twisted[name] = img
-    for g in gens:
-        img = _apply_s_word(g.s_indices, twisted[g.base], shell, s_ops)
-        if g.s_bits.bit_count() & 1:
-            img = -img
-        diff[g] = img
-    tag = "~" if not truncated else ""
-    return Dgca(f"{tag}T^{k}({m.label})", k, all_gens, diff,
-                truncated=truncated, base_model=m)
+    return _decorated_model(m, k, truncated, with_w=True)
 
 
 def cyclification_model(m: Dgca) -> Dgca:
-    """Circle-quotient model of the free loop space, built directly.
+    """Circle-quotient model of the free loop space.
 
     Generators v, sv (positive degrees only) and one w of degree 2, with
-    d v = d_base v + w . sv,  d sv = -s(d_base v),  d w = 0.  This is the
-    rank-one torus model up to renaming; the agreement of the two
-    construction paths is covered by a chain-map test.
+    d v = d_base v + w . sv,  d sv = -s(d_base v),  d w = 0: the rank-one
+    torus model, labelled Lc(...) and displayed with w and sv for w1, s1v.
     """
-    base_syms = _check_base_input(m)
-    gens = _decorated_generators(base_syms, 1, truncated=True)
-    w = Generator.w(1)
-    all_gens = gens + [w]
-    shell = Dgca("cyc-shell", 1, all_gens,
-                 {g: Element.zero() for g in all_gens},
-                 base_model=m)
-    base_diff = {g.base: m.diff[g] for g in m.generators}
-    diff: Dict[Generator, Element] = {w: Element.zero()}
-    display = {w: "w"}
-    for g in gens:
-        if g.s_bits == 0:
-            img = base_diff[g.base]
-            sv = Generator.decorated(g.base, g.base_pos, g.base_degree, 1)
-            if sv in shell.generator_set:
-                img = img + Element.gen(w) * Element.gen(sv)
-            diff[g] = img
-        else:
-            diff[g] = -_apply_s_word((1,), base_diff[g.base], shell)
-            display[g] = "s" + g.base
-    return Dgca(f"Lc({m.label})", 1, all_gens, diff, display=display,
+    t = _decorated_model(m, 1, truncated=True, with_w=True)
+    display = {g: "w" if g.is_w else "s" + g.base
+               for g in t.generators if g.is_w or g.s_bits}
+    return Dgca(f"Lc({m.label})", 1, t.generators, t.diff, display=display,
                 base_model=m)
 
 

@@ -11,8 +11,9 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, Scalar, parse_generator_name
-from .dgca import Dgca
+from .algebra import (_NAME_RE, Element, Generator, Monomial, Scalar,
+                      parse_generator_name)
+from .dgca import Dgca, _element_from_names
 
 __all__ = [
     "element_text",
@@ -153,44 +154,29 @@ def model_payload(m: Dgca, weights: Optional[Dict[Generator, Tuple[int, ...]]]
 
 
 def model_from_payload(payload: dict) -> Dgca:
-    """Rebuild a model from its JSON payload (canonical names only)."""
+    """Rebuild a model from its JSON payload (canonical names only).
+
+    The undecorated entries declare the base symbols, in order.  A generator
+    name that does not parse, whose base symbol is not declared, or that the
+    differential uses without declaring it raises a ValueError naming it.
+    """
     base_table: Dict[str, Tuple[int, int]] = {}
-    order: List[str] = []
     for entry in payload["generators"]:
-        name = entry["name"]
-        if name.startswith("sw") and name[2:].isdigit():
-            continue
-        if name.startswith("w") and name[1:].isdigit():
-            continue
-        core = name
-        while core and core[0] == "s" and len(core) > 1 and core[1].isdigit():
-            i = 1
-            while i < len(core) and core[i].isdigit():
-                i += 1
-            core = core[i:]
-        if core not in base_table:
-            base_table[core] = (len(order), None)  # degree filled below
-            order.append(core)
-    # undecorated entries fix the base degrees
-    for entry in payload["generators"]:
-        name = entry["name"]
-        if name in base_table:
-            pos, _ = base_table[name]
-            base_table[name] = (pos, entry["degree"])
-    gens = {}
-    for entry in payload["generators"]:
-        g = parse_generator_name(entry["name"], base_table)
-        gens[entry["name"]] = g
+        match = _NAME_RE.match(entry["name"])
+        if match and match["base"] and not match["prefix"]:
+            base_table.setdefault(match["base"],
+                                  (len(base_table), entry["degree"]))
+    gens = {entry["name"]: parse_generator_name(entry["name"], base_table)
+            for entry in payload["generators"]}
     diff = {}
     for entry in payload["differential"]:
-        g = gens[entry["generator"]]
-        acc = Element.zero()
-        for term in entry["terms"]:
-            piece = Element.scalar(Fraction(term["coeff"]))
-            for name in term["monomial"]:
-                piece = piece * Element.gen(gens[name])
-            acc = acc + piece
-        diff[g] = acc
+        if entry["generator"] not in gens:
+            raise ValueError(
+                f"differential of undeclared generator {entry['generator']!r}")
+        diff[gens[entry["generator"]]] = _element_from_names(
+            [(Fraction(term["coeff"]), term["monomial"])
+             for term in entry["terms"]],
+            gens)
     return Dgca(payload["label"], payload["k"], list(gens.values()), diff)
 
 

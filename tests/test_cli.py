@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,24 @@ def test_model_json_roundtrip(capsys):
     for entry in payload["differential"]:
         for term in entry["terms"]:
             assert isinstance(term["coeff"], str)
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda p: p["generators"].remove({"name": "g4", "degree": 4}), "'g4'"),
+    (lambda p: p["generators"].append({"name": "s1w1", "degree": 1}),
+     "'s1w1'"),
+    (lambda p: p["generators"].append({"name": "4x", "degree": 1}), "'4x'"),
+    (lambda p: p["differential"][2]["terms"][0]["monomial"].append("s9g4"),
+     "'s9g4'"),
+    (lambda p: p["differential"].append({"generator": "s3g7", "terms": []}),
+     "'s3g7'"),
+], ids=["no-g4", "decorated-w", "unparseable", "undeclared-factor",
+        "undeclared-generator"])
+def test_model_from_payload_rejects_malformed(corrupt, named):
+    payload = model_payload(toroidify(model_s4(), 2))
+    corrupt(payload)
+    with pytest.raises(ValueError, match=named):
+        model_from_payload(payload)
 
 
 def test_report_determinism_modulo_wall_time(capsys):
@@ -221,6 +241,9 @@ def test_verify_payload_schema(capsys):
     ["model", "--k", "2", "--space", "sphere", "--untruncated"],
     ["model", "--k", "2", "--space", "loop", "--untruncated"],
     ["model", "--k", "1", "--space", "cyclic", "--untruncated"],
+    ["model", "--k", "65"],
+    ["model", "--k", "5", "--space", "sphere"],
+    ["model", "--k", "2", "--space", "cyclic"],
 ])
 def test_model_bad_input_one_line_exit_two(capsys, argv):
     code = main(argv)
@@ -229,3 +252,23 @@ def test_model_bad_input_one_line_exit_two(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_derivations_negative_rank_message(capsys):
+    assert main(["derivations", "--k", "-1"]) == 2
+    assert capsys.readouterr().err == "derivations needs k >= 0\n"
+
+
+# stdout of each command, captured before the model constructors were merged,
+# with the informational top-level "wall_ms" line removed
+GOLDEN_CLI = json.loads(
+    (Path(__file__).with_name("cli_golden.json")).read_text())
+_WALL_MS = re.compile(r'^  "wall_ms": .*\n', re.M)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI,
+                         ids=[" ".join(c["argv"]) for c in GOLDEN_CLI])
+def test_cli_output_matches_golden_capture(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert _WALL_MS.sub("", out) == case["stdout"]

@@ -87,6 +87,35 @@ def test_golden_rank3_differentials():
         assert m.diff[m.generator(name)] == E(m, *terms), name
 
 
+# Lc(S4) in canonical names: d v = d_S4 v + w1 . s1v, d s1v = -s1(d_S4 v).
+GOLDEN_CYCLIC = {
+    "w1": [],
+    "g4": [(1, ["s1g4", "w1"])],
+    "s1g4": [],
+    "g7": [(Fraction(-1, 2), ["g4", "g4"]), (1, ["s1g7", "w1"])],
+    "s1g7": [(1, ["g4", "s1g4"])],
+}
+
+# L^2(S4): d(s_I v) = (-1)^|I| s_I(d_S4 v), no w generators.
+GOLDEN_LOOP2 = {
+    "g4": [], "s1g4": [], "s2g4": [], "s1s2g4": [],
+    "g7": [(Fraction(-1, 2), ["g4", "g4"])],
+    "s1g7": [(1, ["g4", "s1g4"])],
+    "s2g7": [(1, ["g4", "s2g4"])],
+    "s1s2g7": [(-1, ["g4", "s1s2g4"]), (-1, ["s1g4", "s2g4"])],
+}
+
+
+@pytest.mark.parametrize("model,golden", [
+    (cyclification_model(S4), GOLDEN_CYCLIC),
+    (free_loop_model(S4, 2), GOLDEN_LOOP2),
+], ids=["Lc", "L2"])
+def test_golden_cyclic_and_loop_differentials(model, golden):
+    assert {g.name for g in model.generators} == set(golden)
+    for name, terms in golden.items():
+        assert model.diff[model.generator(name)] == E(model, *terms), name
+
+
 @pytest.mark.parametrize("k", range(0, 7))
 def test_torus_d_squared(k):
     assert d_squared_zero(toroidify(S4, k)).ok
