@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import Element, Generator, Monomial, s_indices_of
+from .algebra import (Element, Generator, Monomial, element_text,
+                      s_indices_of)
 from .cartan import CartanData, cartan_data, cartan_matrix, eps_on_h
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
 from .derivations import Derivation, bracket, differential_residues
@@ -235,10 +236,9 @@ class VerifyReport:
                 "k": self.k,
                 "check": name,
                 "status": "pass" if rep.ok else "fail",
-                "failures": [{"operator": f.subject.split(" @ ")[0],
-                              "generator": (f.subject.split(" @ ")[1]
-                                            if " @ " in f.subject else ""),
-                              "residue": str(f.residue)}
+                "failures": [{"operator": f.operator,
+                              "generator": f.generator,
+                              "residue": element_text(f.residue)}
                              for f in rep.failures],
             })
         return out
@@ -259,7 +259,7 @@ def _operator_residues(name: str, want: Optional[Derivation],
         residue = got.image(g) - (want.image(g) if want is not None
                                   else Element.zero())
         if not residue.is_zero:
-            failures.append(Failure(f"{name} @ {model.name_of(g)}", residue))
+            failures.append(Failure(name, model.name_of(g), residue))
     return failures
 
 
@@ -286,7 +286,7 @@ def verify_action(a: ChevalleyAction,
 
     def run_chain() -> CheckReport:
         ops = ef_ops + h_ops
-        failures = [Failure(f"{D.name} @ {model.name_of(g)}", residue)
+        failures = [Failure(D.name, model.name_of(g), residue)
                     for D in ops for g, residue in differential_residues(D)]
         return CheckReport("chain", failures,
                            len(ops) * len(model.generators))
@@ -365,7 +365,7 @@ def verify_action(a: ChevalleyAction,
                     checked += 1
                     if monomial_weight(mono, a.k) != expected:
                         failures.append(Failure(
-                            f"{op.name} @ {model.name_of(g)}",
+                            op.name, model.name_of(g),
                             Element.monomial(mono)))
         return CheckReport("weight", failures, checked)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, s_bits_of
+from .algebra import Element, Generator, Monomial, Scalar, s_bits_of
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, hom0_check,
                    toroidify)
 
@@ -38,6 +38,7 @@ __all__ = [
     "hom_forward",
     "factors_through_truncation",
     "truncated_correspondence",
+    "scaling_endo",
 ]
 
 
@@ -196,7 +197,19 @@ def truncated_correspondence(Fs: Iterable[DgcaHom]) -> CheckReport:
         lhs = hom0_check(f)
         rhs = factors_through_truncation(F)
         if lhs != rhs:
-            failures.append(Failure(
-                f"sample {checked} ({F.name})",
-                Element.scalar(1)))
+            failures.append(Failure(F.name, f"sample {checked}",
+                                    Element.scalar(1)))
     return CheckReport("truncated correspondence", failures, checked)
+
+
+def scaling_endo(trd: Dgca, a: Scalar) -> DgcaHom:
+    """Map over Q[w] scaling the g4 family by a and the g7 family by a^2."""
+    images = {}
+    for g in trd.generators:
+        if g.is_w:
+            images[g] = Element.gen(g)
+        elif g.base == "g4":
+            images[g] = Element.gen(g, a)
+        else:
+            images[g] = Element.gen(g, a * a)
+    return DgcaHom(trd, trd, images, name=f"scale({a})")

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
+
+if TYPE_CHECKING:
+    from .dgca import Dgca
 
 __all__ = [
     "Generator",
@@ -23,7 +27,9 @@ __all__ = [
     "UniverseError",
     "monomial_product",
     "monomial_degree",
-    "monomial_name",
+    "print_terms",
+    "render_element",
+    "element_text",
     "s_bits_of",
     "s_indices_of",
     "s_insertion_sign",
@@ -225,12 +231,6 @@ def monomial_degree(m: Monomial) -> int:
     return sum(g.degree * e for g, e in m)
 
 
-def monomial_name(m: Monomial) -> str:
-    if not m:
-        return "1"
-    return "*".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in m)
-
-
 def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]:
     """Merge two canonical monomials; returns (koszul sign, monomial) or None.
 
@@ -417,22 +417,53 @@ class Element:
         return f"Element({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[m]
-            name = monomial_name(m)
-            if m == MONOMIAL_ONE:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = name
-            else:
-                body = f"{abs(c)}*{name}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return element_text(self)
 
 
-def _mono_sort_key(m: Monomial):
-    return tuple((g.key, e) for g, e in m)
+def _print_key(g: Generator):
+    # decorated bases, then sw, then w: mirrors the usual written order
+    return (_FAM_V - g.family,) + g.key[1:]
+
+
+def print_terms(x: Element) -> List[Tuple[Scalar, Monomial]]:
+    """The (coefficient, factors) terms of x in print order.
+
+    Factors sort by `_print_key`, terms by their factor lists.
+    """
+    terms = [(c, tuple(sorted(m, key=lambda fe: _print_key(fe[0]))))
+             for m, c in x.terms.items()]
+    terms.sort(key=lambda t: [(_print_key(g), e) for g, e in t[1]])
+    return terms
+
+
+def render_element(x: Element, name: Callable[[Generator], str],
+                   power: str = "{}^{}", times: str = "*",
+                   coeff: Callable[[Scalar], str] = lambda c: str(abs(c)),
+                   scale: str = "*") -> str:
+    """Signed sum of the terms of x in print order.
+
+    `coeff` writes a coefficient without its sign; it and `scale` are
+    written only for coefficients other than +/-1.
+    """
+    if not x.terms:
+        return "0"
+    parts = []
+    for c, factors in print_terms(x):
+        body = times.join(name(g) if e == 1 else power.format(name(g), e)
+                          for g, e in factors)
+        if not factors:
+            body = coeff(c)
+        elif abs(c) != 1:
+            body = coeff(c) + scale + body
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def element_text(x: Element, model: Optional["Dgca"] = None) -> str:
+    """Deterministic plain-text form, e.g. '-1/2*g4^2 + s1g7*w1'.
+
+    Generators print by the model's display names when `model` is given.
+    """
+    return render_element(x, model.name_of if model is not None
+                          else lambda g: g.name)

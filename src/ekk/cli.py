@@ -8,7 +8,6 @@ wall-time field is informational and excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -90,8 +89,12 @@ def _emit(ns, payload: dict, text: str, status_ok: bool) -> int:
         body = text
     out_path = getattr(ns, "out", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            print(f"cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         print(body)
     return 0 if status_ok else 1
@@ -149,6 +152,9 @@ def cmd_verify(ns) -> int:
         print("verify supports 0 <= k <= 11", file=sys.stderr)
         return 2
     checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
+    if not checks:
+        print("--checks names no check", file=sys.stderr)
+        return 2
     bad = set(checks) - set(ALL_CHECKS)
     if bad:
         print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
@@ -210,6 +216,9 @@ def cmd_adjunction_demo(ns) -> int:
     if ns.k < 1 or ns.k > 3:
         print("adjunction-demo supports 1 <= k <= 3", file=sys.stderr)
         return 2
+    if ns.samples < 1:
+        print("adjunction-demo needs --samples >= 1", file=sys.stderr)
+        return 2
     rng = random.Random(ns.seed)
     m = model_s4()
     trd = toroidify(m, ns.k, truncated=False)
@@ -218,9 +227,9 @@ def cmd_adjunction_demo(ns) -> int:
     samples = [Fraction(1)] + [
         Fraction(rng.randint(1, 9), rng.randint(1, 9))
         * (1 if rng.random() < 0.5 else -1)
-        for _ in range(max(0, ns.samples - 1))]
+        for _ in range(ns.samples - 1)]
     for idx, a in enumerate(samples):
-        F = _scaling_endo(trd, a)
+        F = adj.scaling_endo(trd, a)
         f = adj.hom_backward(F)
         F2 = adj.hom_forward(f, trd)
         round_trip = all(F.images[g] == F2.images[g]
@@ -238,21 +247,6 @@ def cmd_adjunction_demo(ns) -> int:
                  f"hom0={r['hom0_correspondence']}" for r in results)
     return _emit(ns, _report(f"adjunction-demo --k {ns.k} --seed {ns.seed}",
                              ok, payload, started), "\n".join(lines), ok)
-
-
-def _scaling_endo(trd: Dgca, a: Fraction):
-    """Endomorphism over Q[w]: the g4 family scales by a, the g7 family by a^2."""
-    from .algebra import Element
-    from .dgca import DgcaHom
-    images = {}
-    for g in trd.generators:
-        if g.is_w:
-            images[g] = Element.gen(g)
-        elif g.base == "g4":
-            images[g] = Element.gen(g, a)
-        else:
-            images[g] = Element.gen(g, a * a)
-    return DgcaHom(trd, trd, images, name=f"scale({a})")
 
 
 def cmd_table1(ns) -> int:

@@ -268,7 +268,7 @@ def differential_residues(D: Derivation
 def commutes_with_differential(D: Derivation) -> CheckReport:
     """Residues of [d, D] on every generator of D's model."""
     m = D.model
-    failures = [Failure(m.name_of(g), residue)
+    failures = [Failure("", m.name_of(g), residue)
                 for g, residue in differential_residues(D)]
     return CheckReport(f"[d,{D.name or 'D'}]=0 on {m.label}", failures,
                        len(m.generators))

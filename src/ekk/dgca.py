@@ -45,16 +45,22 @@ MAX_RANK = 64
 
 
 class Failure:
-    """One nonzero residue found by a verification check."""
+    """One nonzero residue found by a verification check.
 
-    __slots__ = ("subject", "residue")
+    `operator` is empty for checks of a single map (d^2 = 0, chain maps);
+    `generator` names a generator, or a sample.
+    """
 
-    def __init__(self, subject: str, residue: Element):
-        self.subject = subject
+    __slots__ = ("operator", "generator", "residue")
+
+    def __init__(self, operator: str, generator: str, residue: Element):
+        self.operator = operator
+        self.generator = generator
         self.residue = residue
 
     def __repr__(self) -> str:
-        return f"Failure({self.subject}: {self.residue})"
+        return (f"Failure({self.operator!r}, {self.generator!r}, "
+                f"{self.residue})")
 
 
 class CheckReport:
@@ -431,7 +437,7 @@ def d_squared_zero(m: Dgca) -> CheckReport:
     for g in m.generators:
         residue = d.apply(m.diff[g])
         if not residue.is_zero:
-            failures.append(Failure(m.name_of(g), residue))
+            failures.append(Failure("", m.name_of(g), residue))
     return CheckReport(f"d^2=0 on {m.label}", failures, len(m.generators))
 
 
@@ -442,7 +448,7 @@ def is_chain_map(h: DgcaHom) -> CheckReport:
     for g in h.source.generators:
         residue = h.apply(h.source.diff[g]) - d_tgt.apply(h.images[g])
         if not residue.is_zero:
-            failures.append(Failure(h.source.name_of(g), residue))
+            failures.append(Failure("", h.source.name_of(g), residue))
     return CheckReport(f"chain map {h.source.label}->{h.target.label}",
                        failures, len(h.source.generators))
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .algebra import (_NAME_RE, Element, Generator, Monomial, Scalar,
-                      parse_generator_name)
+from .algebra import (_NAME_RE, Element, Generator, Scalar, element_text,
+                      parse_generator_name, print_terms, render_element)
 from .dgca import Dgca, _element_from_names
 
 __all__ = [
@@ -24,43 +24,6 @@ __all__ = [
     "model_from_payload",
     "dump_json",
 ]
-
-
-def _print_key(g: Generator):
-    # decorated bases, then sw, then w: mirrors the usual written order
-    fam = {2: 0, 1: 1, 0: 2}[g.key[0]]
-    return (fam,) + g.key[1:]
-
-
-def _mono_print_order(m: Monomial) -> Monomial:
-    return tuple(sorted(m, key=lambda fe: _print_key(fe[0])))
-
-
-def _mono_sort_key(m: Monomial):
-    return tuple((_print_key(g), e) for g, e in _mono_print_order(m))
-
-
-def element_text(x: Element, model: Optional[Dgca] = None) -> str:
-    """Deterministic plain-text form, e.g. '-1/2*g4^2 + s1g7*w1'."""
-    if x.is_zero:
-        return "0"
-    name = (lambda g: model.name_of(g)) if model is not None \
-        else (lambda g: g.name)
-    parts = []
-    for m in sorted(x.terms, key=_mono_sort_key):
-        c = x.terms[m]
-        factors = "*".join(
-            name(g) if e == 1 else f"{name(g)}^{e}"
-            for g, e in _mono_print_order(m))
-        if not m:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = factors
-        else:
-            body = f"{abs(c)}*{factors}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _latex_name(g: Generator, model: Optional[Dgca]) -> str:
@@ -89,24 +52,9 @@ def _latex_coeff(c: Scalar) -> str:
 
 
 def element_latex(x: Element, model: Optional[Dgca] = None) -> str:
-    if x.is_zero:
-        return "0"
-    parts = []
-    for m in sorted(x.terms, key=_mono_sort_key):
-        c = x.terms[m]
-        factors = r" \cdot ".join(
-            _latex_name(g, model) if e == 1 else
-            f"{_latex_name(g, model)}^{{{e}}}"
-            for g, e in _mono_print_order(m))
-        if not m:
-            body = _latex_coeff(c)
-        elif abs(c) == 1:
-            body = factors
-        else:
-            body = f"{_latex_coeff(c)} \\, {factors}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    return render_element(x, lambda g: _latex_name(g, model),
+                          power="{}^{{{}}}", times=r" \cdot ",
+                          coeff=_latex_coeff, scale=r" \, ")
 
 
 def model_text(m: Dgca) -> str:
@@ -137,13 +85,9 @@ def model_payload(m: Dgca, weights: Optional[Dict[Generator, Tuple[int, ...]]]
         gens.append(entry)
     differential = []
     for g in m.generators:
-        terms = []
-        for mono in sorted(m.diff[g].terms, key=_mono_sort_key):
-            c = m.diff[g].terms[mono]
-            names: List[str] = []
-            for h, e in _mono_print_order(mono):
-                names.extend([h.name] * e)
-            terms.append({"coeff": str(c), "monomial": names})
+        terms = [{"coeff": str(c),
+                  "monomial": [h.name for h, e in factors for _ in range(e)]}
+                 for c, factors in print_terms(m.diff[g])]
         differential.append({"generator": g.name, "terms": terms})
     return {
         "label": m.label,
@@ -157,7 +101,8 @@ def model_from_payload(payload: dict) -> Dgca:
     """Rebuild a model from its JSON payload (canonical names only).
 
     The undecorated entries declare the base symbols, in order.  A generator
-    name that does not parse, whose base symbol is not declared, or that the
+    name that does not parse, whose base symbol is not declared, whose
+    declared degree differs from the degree its name gives, or that the
     differential uses without declaring it raises a ValueError naming it.
     """
     base_table: Dict[str, Tuple[int, int]] = {}
@@ -166,8 +111,13 @@ def model_from_payload(payload: dict) -> Dgca:
         if match and match["base"] and not match["prefix"]:
             base_table.setdefault(match["base"],
                                   (len(base_table), entry["degree"]))
-    gens = {entry["name"]: parse_generator_name(entry["name"], base_table)
-            for entry in payload["generators"]}
+    gens = {}
+    for entry in payload["generators"]:
+        g = parse_generator_name(entry["name"], base_table)
+        if g.degree != entry["degree"]:
+            raise ValueError(f"generator {entry['name']!r} declares degree "
+                             f"{entry['degree']}, its name gives {g.degree}")
+        gens[entry["name"]] = g
     diff = {}
     for entry in payload["differential"]:
         if entry["generator"] not in gens:

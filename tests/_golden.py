@@ -1,4 +1,5 @@
-"""Frozen rank-3 differential table, transcribed term by term.
+"""Frozen rank-3 differential table, transcribed term by term, and the
+helper that builds elements from such (coeff, [names]) terms.
 
 Every line of the eight-dimensional reduction example, written in the
 canonical factor order of this package (anticommuting decoration words
@@ -6,6 +7,14 @@ normalized to increasing indices, signs absorbed into the coefficients).
 """
 
 from fractions import Fraction
+
+from ekk.dgca import _element_from_names
+
+
+def E(model, *terms):
+    """Build an element from (coeff, [names]) pairs in the given model."""
+    return _element_from_names(terms, {g.name: g for g in model.generators})
+
 
 GOLDEN_RANK3 = {
     "w1": [], "w2": [], "w3": [],

@@ -13,17 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from ekk.algebra import Element
 from ekk.action import (build_action, gravity_line_rank, h_derivation,
                         torus_automorphism, torus_exponents, verify_action,
                         weight_of)
-from ekk.adjunction import (hom_backward, hom_forward,
+from ekk.adjunction import (hom_backward, hom_forward, scaling_endo,
                             truncated_correspondence)
 from ekk.cartan import cartan_matrix, parabolic_split, positive_roots
-from ekk.dgca import (DgcaHom, cyclification_model, d_squared_zero,
-                      free_loop_model, hom0_check, is_chain_map, model_s4,
-                      toroidify)
+from ekk.dgca import (cyclification_model, d_squared_zero, free_loop_model,
+                      hom0_check, is_chain_map, model_s4, toroidify)
 from ekk.derivations import Derivation, derivation_basis
+
+from _golden import GOLDEN_RANK3, E
 
 S4 = model_s4()
 
@@ -50,18 +50,8 @@ class _Budget:
         return False
 
 
-def E(model, *terms):
-    acc = Element.zero()
-    for coeff, names in terms:
-        piece = Element.scalar(Fraction(coeff))
-        for n in names:
-            piece = piece * model.gen_element(n)
-        acc = acc + piece
-    return acc
-
 
 def test_criterion_1_golden_rank3_model():
-    from _golden import GOLDEN_RANK3
     with _Budget(1, "golden k=3 model", 1.0):
         m = toroidify(S4, 3)
         assert len(m.generators) == 19
@@ -144,18 +134,6 @@ def test_criterion_7_gravity_line_faithfulness():
             assert gravity_line_rank(build_action(k)) == k * k - 1
 
 
-def _scaling_endo(trd, a):
-    images = {}
-    for g in trd.generators:
-        if g.is_w:
-            images[g] = Element.gen(g)
-        elif g.base == "g4":
-            images[g] = Element.gen(g, a)
-        else:
-            images[g] = Element.gen(g, a * a)
-    return DgcaHom(trd, trd, images, name=f"scale({a})")
-
-
 def test_criterion_8_adjunction_round_trips():
     with _Budget(8, "adjunction round trips and Hom0", 30.0):
         for k in (1, 2):
@@ -168,7 +146,7 @@ def test_criterion_8_adjunction_round_trips():
                     scales.append(a)
             Fs = []
             for a in scales:
-                F = _scaling_endo(trd, a)
+                F = scaling_endo(trd, a)
                 assert is_chain_map(F).ok
                 f = hom_backward(F)
                 assert is_chain_map(f).ok

@@ -14,18 +14,9 @@ from ekk.action import (ALL_CHECKS, build_action, gravity_line_rank,
 from ekk.dgca import is_chain_map, model_s4, toroidify
 from ekk.derivations import Derivation, bracket
 
+from _golden import E
 
 S4 = model_s4()
-
-
-def E(model, *terms):
-    acc = Element.zero()
-    for coeff, names in terms:
-        piece = Element.scalar(Fraction(coeff))
-        for n in names:
-            piece = piece * model.gen_element(n)
-        acc = acc + piece
-    return acc
 
 
 # -- weights ----------------------------------------------------------------
@@ -245,6 +236,25 @@ def test_mutated_lowering_rule_is_caught():
     a.f[1] = Derivation(0, bad_images, m, name="f1")
     rep = verify_action(a)
     assert not rep.ok
+
+
+def test_failing_verify_payload_golden():
+    # e4(s1s2s3g7) = g4 doubled; residues print in model text's term order
+    a = build_action(4)
+    m = a.model
+    bad_images = dict(a.e[4].images)
+    g = m.generator("s1s2s3g7")
+    bad_images[g] = 2 * bad_images[g]
+    a.e[4] = Derivation(0, bad_images, m, name="e4")
+    (entry,) = verify_action(a, ("chain",)).to_payload()
+    assert entry["status"] == "fail"
+    assert entry["failures"] == [
+        {"operator": "e4", "generator": "s1s2g7", "residue": "-g4*w3"},
+        {"operator": "e4", "generator": "s1s2s3g7",
+         "residue": "s1g4*w1 + s2g4*w2 + s3g4*w3 + s4g4*w4"},
+        {"operator": "e4", "generator": "s1s3g7", "residue": "g4*w2"},
+        {"operator": "e4", "generator": "s2s3g7", "residue": "-g4*w1"},
+    ]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

@@ -9,39 +9,19 @@ import pytest
 
 from ekk.algebra import Element, Generator
 from ekk.adjunction import (adjunction_pair, factors_through_truncation,
-                            hom_backward, hom_forward, totalize,
-                            truncated_correspondence)
+                            hom_backward, hom_forward, scaling_endo,
+                            totalize, truncated_correspondence)
 from ekk.dgca import (DgcaHom, d_squared_zero, hom0_check, is_chain_map,
                       model_over_w, model_s4, semifree_model, toroidify)
 
+from _golden import E
+
 S4 = model_s4()
-
-
-def E(model, *terms):
-    acc = Element.zero()
-    for coeff, names in terms:
-        piece = Element.scalar(Fraction(coeff))
-        for n in names:
-            piece = piece * model.gen_element(n)
-        acc = acc + piece
-    return acc
 
 
 def identity_endo(model, name="id"):
     return DgcaHom(model, model,
                    {g: Element.gen(g) for g in model.generators}, name=name)
-
-
-def scaling_endo(trd, a):
-    images = {}
-    for g in trd.generators:
-        if g.is_w:
-            images[g] = Element.gen(g)
-        elif g.base == "g4":
-            images[g] = Element.gen(g, a)
-        else:
-            images[g] = Element.gen(g, a * a)
-    return DgcaHom(trd, trd, images, name=f"scale({a})")
 
 
 # -- totalize -----------------------------------------------------------------

@@ -97,8 +97,10 @@ def test_model_json_roundtrip(capsys):
      "'s9g4'"),
     (lambda p: p["differential"].append({"generator": "s3g7", "terms": []}),
      "'s3g7'"),
+    (lambda p: next(e for e in p["generators"]
+                    if e["name"] == "s1g4").update(degree=9), "'s1g4'"),
 ], ids=["no-g4", "decorated-w", "unparseable", "undeclared-factor",
-        "undeclared-generator"])
+        "undeclared-generator", "wrong-degree"])
 def test_model_from_payload_rejects_malformed(corrupt, named):
     payload = model_payload(toroidify(model_s4(), 2))
     corrupt(payload)
@@ -244,6 +246,10 @@ def test_verify_payload_schema(capsys):
     ["model", "--k", "65"],
     ["model", "--k", "5", "--space", "sphere"],
     ["model", "--k", "2", "--space", "cyclic"],
+    ["verify", "--k", "3", "--checks", ","],
+    ["adjunction-demo", "--samples", "0"],
+    ["adjunction-demo", "--samples", "-3"],
+    ["parabolic", "--k", "5", "--out", "/nonexistent/dir/x.json"],
 ])
 def test_model_bad_input_one_line_exit_two(capsys, argv):
     code = main(argv)

@@ -14,17 +14,9 @@ from ekk.derivations import (Derivation, bracket, commutes_with_differential,
                              derivation_basis, nullspace, s_derivation,
                              sparse_rank)
 
+from _golden import E
+
 S4 = model_s4()
-
-
-def E(model, *terms):
-    acc = Element.zero()
-    for coeff, names in terms:
-        piece = Element.scalar(Fraction(coeff))
-        for n in names:
-            piece = piece * model.gen_element(n)
-        acc = acc + piece
-    return acc
 
 
 def test_apply_even_first_factor_no_sign():

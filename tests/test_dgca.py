@@ -14,19 +14,9 @@ from ekk.derivations import bracket, s_derivation
 from ekk.action import monomial_weight, weight_of
 from ekk.adjunction import totalize
 
+from _golden import GOLDEN_RANK3, E
 
 S4 = model_s4()
-
-
-def E(model, *terms):
-    """Build an element from (coeff, [names]) pairs in the given model."""
-    acc = Element.zero()
-    for coeff, names in terms:
-        piece = Element.scalar(Fraction(coeff))
-        for n in names:
-            piece = piece * model.gen_element(n)
-        acc = acc + piece
-    return acc
 
 
 def test_sphere_model():
@@ -77,9 +67,6 @@ def test_torus_generator_counts(k, count):
     assert len(toroidify(S4, k).generators) == count
 
 
-from _golden import GOLDEN_RANK3
-
-
 def test_golden_rank3_differentials():
     m = toroidify(S4, 3)
     assert len(m.generators) == 19
@@ -127,7 +114,7 @@ def test_corrupted_model_reports_residue():
     bad = m.with_diff({g7: m.diff[g7] + E(m, (1, ["w1", "s2g7"]))})
     rep = d_squared_zero(bad)
     assert not rep.ok
-    assert any(f.subject == "g7" for f in rep.failures)
+    assert any(f.generator == "g7" for f in rep.failures)
     assert all(not f.residue.is_zero for f in rep.failures)
 
 
@@ -235,7 +222,7 @@ def test_chain_map_identity_and_negative():
     })
     rep = is_chain_map(h)
     assert not rep.ok
-    assert any(f.subject == "g4" for f in rep.failures)
+    assert any(f.generator == "g4" for f in rep.failures)
 
 
 def test_hom0_check_examples():
