@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import (Element, Generator, Monomial, element_text,
+from .algebra import (Element, Generator, Monomial, Scalar, element_text,
                       s_indices_of)
 from .cartan import CartanData, cartan_data, cartan_matrix, eps_on_h
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
@@ -26,6 +26,7 @@ __all__ = [
     "VerifyReport",
     "ALL_CHECKS",
     "weight_of",
+    "weight_table",
     "monomial_weight",
     "build_action",
     "h_derivation",
@@ -68,10 +69,20 @@ def weight_of(g: Generator, k: int) -> WeightVector:
     return tuple(w)
 
 
-def monomial_weight(m: Monomial, k: int) -> WeightVector:
+def weight_table(model: Dgca) -> Dict[Generator, WeightVector]:
+    """Generator -> weight for every generator, in model order."""
+    return {g: weight_of(g, model.k) for g in model.generators}
+
+
+def monomial_weight(m: Monomial, k: int,
+                    weights: Optional[Dict[Generator, WeightVector]] = None
+                    ) -> WeightVector:
+    """Sum of the factors' weights, read from the `weight_table` `weights`
+    when given; a generator missing from it falls back to `weight_of`."""
     w = [0] * (k + 1)
     for g, e in m:
-        for idx, c in enumerate(weight_of(g, k)):
+        gw = weights.get(g) if weights is not None else None
+        for idx, c in enumerate(gw or weight_of(g, k)):
             w[idx] += c * e
     return tuple(w)
 
@@ -141,11 +152,18 @@ def _g4_pos(model: Dgca) -> int:
     return model.generator("g4").base_pos
 
 
-def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
-    """Diagonal derivation multiplying each generator by its weight on h."""
+def h_derivation(model: Dgca, h: Sequence, name: str = "h",
+                 weights: Optional[Dict[Generator, WeightVector]] = None
+                 ) -> Derivation:
+    """Diagonal derivation multiplying each generator by its weight on h.
+
+    `weights` is the model's `weight_table`; it is built when not given.
+    """
+    if weights is None:
+        weights = weight_table(model)
     images: Dict[Generator, Element] = {}
-    for g in model.generators:
-        c = eps_on_h(weight_of(g, model.k), h)
+    for g, w in weights.items():
+        c = eps_on_h(w, h)
         if c:
             images[g] = Element.gen(g, c)
     return Derivation(0, images, model, name=name)
@@ -168,12 +186,15 @@ class ChevalleyAction:
     cartan: Optional[CartanData]
     coroots: Dict[int, Tuple[int, ...]]
     simple_roots: Dict[int, Tuple[int, ...]]
+    #: the model's `weight_table`
+    weights: Dict[Generator, WeightVector]
 
     def h(self, vec: Sequence) -> Derivation:
-        return h_derivation(self.model, vec)
+        return h_derivation(self.model, vec, weights=self.weights)
 
     def h_basis(self) -> List[Derivation]:
-        return [h_derivation(self.model, _unit_h(self.k, j), name=f"h{j}")
+        return [h_derivation(self.model, _unit_h(self.k, j), name=f"h{j}",
+                             weights=self.weights)
                 for j in range(self.k + 1)]
 
 
@@ -207,7 +228,8 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
             # single simple root eps_1 - eps_2 with coroot h_1 - h_2
             roots[1] = (0, 1, -1)
             coroots[1] = (0, 1, -1)
-    return ChevalleyAction(k, model, e, f, data, coroots, roots)
+    return ChevalleyAction(k, model, e, f, data, coroots, roots,
+                           weight_table(model))
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +271,28 @@ class VerifyReport:
 
 
 def _operator_residues(name: str, want: Optional[Derivation],
-                       got: Derivation) -> List[Failure]:
+                       got: Derivation, scale: Scalar = 1) -> List[Failure]:
+    """One failure per generator where got differs from scale * want, in
+    generator order, with residue got(g) - scale * want(g).
+
+    `want=None` or `scale=0` stands for the zero operator.  Images are
+    compared term by term; a residue is built only for a mismatch.
+    """
     failures = []
     model = got.model
-    keys = set(got.images)
-    if want is not None:
-        keys |= set(want.images)
-    for g in sorted(keys, key=lambda g: g.key):
-        residue = got.image(g) - (want.image(g) if want is not None
-                                  else Element.zero())
-        if not residue.is_zero:
-            failures.append(Failure(name, model.name_of(g), residue))
+    got_images = got.images
+    want_images = want.images if want is not None and scale else {}
+    for g in model.in_order(got_images.keys() | want_images.keys()):
+        x, y = got_images.get(g), want_images.get(g)
+        if y is None:
+            residue = x
+        else:
+            if x is not None and len(x.terms) == len(y.terms) and all(
+                    x.terms.get(mono) == c * scale
+                    for mono, c in y.terms.items()):
+                continue
+            residue = (x or Element.zero()) - y * scale
+        failures.append(Failure(name, model.name_of(g), residue))
     return failures
 
 
@@ -282,7 +315,8 @@ def verify_action(a: ChevalleyAction,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     model = a.model
     ef_ops = list(a.e.values()) + list(a.f.values())
-    h_ops = a.h_basis()
+    # only chain and cartan read the diagonal basis
+    h_ops = a.h_basis() if {"chain", "cartan"} & set(selected) else []
 
     def run_chain() -> CheckReport:
         ops = ef_ops + h_ops
@@ -304,9 +338,8 @@ def verify_action(a: ChevalleyAction,
                 if lowering:
                     scale = -scale
                 got = bracket(h_op, op)
-                want = scale * op
                 failures.extend(_operator_residues(
-                    f"[h{j},{op.name}]", want, got))
+                    f"[h{j},{op.name}]", op, got, scale))
                 checked += 1
             for j2 in range(j + 1, a.k + 1):
                 got = bracket(h_op, h_ops[j2])
@@ -350,20 +383,21 @@ def verify_action(a: ChevalleyAction,
     def run_weight() -> CheckReport:
         failures = []
         checked = 0
+        weights = a.weights
         for i, op in list(a.e.items()) + [(-i, D) for i, D in a.f.items()]:
             lowering = i < 0
             idx = -i if lowering else i
             alpha = a.simple_roots[idx]
             shift = tuple(-c for c in alpha) if lowering else alpha
+            images = op.images
             for g in model.generators:
-                img = op.image(g)
-                if img.is_zero:
+                img = images.get(g)
+                if img is None:
                     continue
-                expected = tuple(c + s for c, s in
-                                 zip(weight_of(g, a.k), shift))
-                for mono, _ in img.items():
+                expected = tuple(c + s for c, s in zip(weights[g], shift))
+                for mono in img.terms:
                     checked += 1
-                    if monomial_weight(mono, a.k) != expected:
+                    if monomial_weight(mono, a.k, weights) != expected:
                         failures.append(Failure(
                             op.name, model.name_of(g),
                             Element.monomial(mono)))

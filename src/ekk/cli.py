@@ -1,20 +1,22 @@
 """Command-line surface: build models, verify relations, export data.
 
 Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage
-error.  JSON reports are deterministic for a fixed command and seed; the
-wall-time field is informational and excluded from that guarantee.
+error, 3 internal error (an exception no verb expected).  JSON reports are
+deterministic for a fixed command and seed; the wall-time field is
+informational and excluded from that guarantee.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from . import adjunction as adj
-from .action import (ALL_CHECKS, build_action, verify_action, weight_of)
+from .action import ALL_CHECKS, build_action, verify_action, weight_table
 from .cartan import (FINITE_RANGE, cartan_matrix, parabolic_split,
                      positive_roots)
 from .dgca import (MAX_RANK, Dgca, cyclification_model, free_loop_model,
@@ -100,6 +102,19 @@ def _emit(ns, payload: dict, text: str, status_ok: bool) -> int:
     return 0 if status_ok else 1
 
 
+def _out_problem(path: str) -> Optional[str]:
+    """Why `path` cannot be written, or None; leaves no new file behind."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        return str(exc)
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def _report(command: str, status_ok: bool, payload: dict,
             started: float) -> dict:
     return {
@@ -137,7 +152,7 @@ def cmd_model(ns) -> int:
     model = _build_space(ns)
     weights = None
     if not ns.untruncated:
-        weights = {g: weight_of(g, model.k) for g in model.generators}
+        weights = weight_table(model)
     payload = model_payload(model, weights)
     if ns.format == "latex":
         return _emit(ns, payload, model_latex(model), True)
@@ -309,7 +324,16 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    return _DISPATCH[ns.verb](ns)
+    if ns.out:
+        problem = _out_problem(ns.out)
+        if problem is not None:
+            print(f"cannot write --out: {problem}", file=sys.stderr)
+            return 2
+    try:
+        return _DISPATCH[ns.verb](ns)
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ generator images.  `derivation_basis` computes the exact nullspace of the
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -34,7 +33,7 @@ FULL_MODE_GENERATOR_CAP = 8
 class Derivation:
     """A graded derivation determined by generator images."""
 
-    __slots__ = ("degree", "images", "model", "name", "diagonal")
+    __slots__ = ("degree", "images", "model", "name", "diagonal", "linear")
 
     def __init__(self, degree: int, images: Dict[Generator, Element],
                  model: Optional[Dgca] = None, name: str = ""):
@@ -45,6 +44,10 @@ class Derivation:
         #: generator -> weight when the derivation has degree 0 and maps
         #: every generator to a multiple of itself, else None
         self.diagonal = _weights(self.images) if degree == 0 else None
+        #: True when every image term is a lone generator to the first power
+        self.linear = all(len(mono) == 1 and mono[0][1] == 1
+                          for img in self.images.values()
+                          for mono in img.terms)
 
     def image(self, g: Generator) -> Element:
         return self.images.get(g, Element.zero())
@@ -133,23 +136,12 @@ class Derivation:
                 pre += block
         return Element(_raw=acc)
 
-    def is_linear(self) -> bool:
-        """True when every image lies in the span of single generators."""
-        for img in self.images.values():
-            for mono, _ in img.items():
-                if len(mono) != 1 or mono[0][1] != 1:
-                    return False
-        return True
-
     def linear_matrix(self) -> Dict[Tuple[Generator, Generator], Scalar]:
         """Sparse matrix (source gen, target gen) -> coefficient."""
-        out: Dict[Tuple[Generator, Generator], Scalar] = {}
-        for g, img in self.images.items():
-            for mono, c in img.items():
-                if len(mono) != 1 or mono[0][1] != 1:
-                    raise ValueError(f"{self.name or 'derivation'} is not linear")
-                out[(g, mono[0][0])] = c
-        return out
+        if not self.linear:
+            raise ValueError(f"{self.name or 'derivation'} is not linear")
+        return {(g, mono[0][0]): c for g, img in self.images.items()
+                for mono, c in img.terms.items()}
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.degree != other.degree:
@@ -209,6 +201,8 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     so only those are visited, in the model's generator order.  A diagonal
     operand h has [h, D] g = 0 wherever D g = 0, so then only the other
     operand's generators are visited, and none when both are diagonal.
+    When both operands are linear, each image is composed term by term from
+    the operands' images, without `apply`.
     """
     model = d1.model or d2.model
     if model is None:
@@ -220,21 +214,54 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
         moved.update(im1)
     if d2.diagonal is None:
         moved.update(im2)
+    order = model.in_order(moved)
     images: Dict[Generator, Element] = {}
-    for g in sorted(moved, key=attrgetter("key")):
-        x2, x1 = im2.get(g), im1.get(g)
-        if x1 is None:
-            img = d1.apply(x2)
-        elif x2 is None:
-            img = d2.apply(x1)
-            if sign > 0:
-                img = -img
-        elif sign > 0:
-            img = d1.apply(x2) - d2.apply(x1)
-        else:
-            img = d1.apply(x2) + d2.apply(x1)
-        if not img.is_zero:
-            images[g] = img
+    if d1.linear and d2.linear:
+        # [d1, d2] g = d1(d2 g) - sign * d2(d1 g), one term at a time
+        legs = ((im2, im1, 1), (im1, im2, -sign))
+        for g in order:
+            acc: Dict[Monomial, Scalar] = {}
+            for inner, outer, s in legs:
+                x = inner.get(g)
+                if x is None:
+                    continue
+                for mono, c in x.terms.items():
+                    img = outer.get(mono[0][0])
+                    if img is None:
+                        continue
+                    if s < 0:
+                        c = -c
+                    for mb, cb in img.terms.items():
+                        c2 = c * cb
+                        cur = acc.get(mb)
+                        if cur is None:
+                            acc[mb] = c2
+                        else:
+                            cur += c2
+                            if cur:
+                                acc[mb] = cur
+                            else:
+                                del acc[mb]
+            if acc:
+                for mono, c in acc.items():
+                    if type(c) is Fraction and c.denominator == 1:
+                        acc[mono] = c.numerator
+                images[g] = Element(_raw=acc)
+    else:
+        for g in order:
+            x2, x1 = im2.get(g), im1.get(g)
+            if x1 is None:
+                img = d1.apply(x2)
+            elif x2 is None:
+                img = d2.apply(x1)
+                if sign > 0:
+                    img = -img
+            elif sign > 0:
+                img = d1.apply(x2) - d2.apply(x1)
+            else:
+                img = d1.apply(x2) + d2.apply(x1)
+            if not img.is_zero:
+                images[g] = img
     return Derivation(d1.degree + d2.degree, images, model,
                       name=f"[{d1.name},{d2.name}]")
 
@@ -382,9 +409,9 @@ def _monomials_of_degree(gens: Sequence[Generator], degree: int
 
 def _model_weights(m: Dgca) -> Optional[Dict[Generator, Tuple[int, ...]]]:
     """Per-generator weights when the model is in the 4-sphere family."""
-    from .action import weight_of
+    from .action import weight_table
     try:
-        return {g: weight_of(g, m.k) for g in m.generators}
+        return weight_table(m)
     except ValueError:
         return None
 

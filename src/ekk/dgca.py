@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .algebra import (
     Element,
@@ -110,6 +111,7 @@ class Dgca:
         self.base_model = base_model
         self.totalization_of = totalization_of
         self._by_name = {g.name: g for g in self.generators}
+        self._position = {g: i for i, g in enumerate(self.generators)}
         self._d = None
         self._reach = None
         self._validate()
@@ -140,6 +142,17 @@ class Dgca:
 
     def gen_element(self, name: str) -> Element:
         return Element.gen(self.generator(name))
+
+    def in_order(self, gens: Collection[Generator]) -> List[Generator]:
+        """The given generators sorted by key, which is model order.
+
+        Positions in the model compare faster than keys; a generator of
+        another model falls back to the key sort.
+        """
+        try:
+            return sorted(gens, key=self._position.__getitem__)
+        except KeyError:
+            return sorted(gens, key=lambda g: g.key)
 
     def name_of(self, g: Generator) -> str:
         return self.display.get(g, g.name)

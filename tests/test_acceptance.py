@@ -11,11 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from ekk.action import (build_action, gravity_line_rank, h_derivation,
-                        torus_automorphism, torus_exponents, verify_action,
-                        weight_of)
+                        torus_automorphism, torus_exponents, verify_action)
 from ekk.adjunction import (hom_backward, hom_forward, scaling_endo,
                             truncated_correspondence)
 from ekk.cartan import cartan_matrix, parabolic_split, positive_roots

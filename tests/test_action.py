@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from ekk.algebra import Element
-from ekk.action import (ALL_CHECKS, build_action, gravity_line_rank,
-                        h_derivation, monomial_weight, torus_automorphism,
-                        torus_exponents, verify_action, weight_of)
+from ekk.action import (build_action, gravity_line_rank, h_derivation,
+                        monomial_weight, torus_automorphism, torus_exponents,
+                        verify_action, weight_of)
 from ekk.dgca import is_chain_map, model_s4, toroidify
 from ekk.derivations import Derivation, bracket
 
@@ -262,7 +262,7 @@ def test_action_images_are_linear_degree_zero(k):
     a = build_action(k)
     for op in list(a.e.values()) + list(a.f.values()) + a.h_basis():
         assert op.degree == 0
-        assert op.is_linear()
+        assert op.linear
         for g, img in op.images.items():
             assert img.is_homogeneous(g.degree)
 

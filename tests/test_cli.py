@@ -278,3 +278,38 @@ def test_cli_output_matches_golden_capture(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert _WALL_MS.sub("", out) == case["stdout"]
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify built an action before checking --out")
+
+    monkeypatch.setattr("ekk.cli.build_action", no_work)
+    path = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--k", "11", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("cannot write --out")
+
+
+def test_out_probe_leaves_no_file_on_later_failure(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    assert main(["verify", "--k", "12", "--out", str(path)]) == 2
+    assert not path.exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken\nover two lines")
+
+    monkeypatch.setattr("ekk.cli.build_action", broken)
+    code = main(["verify", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: RuntimeError")
+    assert "Traceback" not in captured.err

@@ -3,7 +3,9 @@
 `Derivation.apply` scales each monomial by a diagonal derivation's weights
 and maps a lone generator straight to its image.  `bracket` visits only the
 generators its operands move, only the other operand's generators when one
-operand is diagonal, and none when both are.  `differential_residues` visits
+operand is diagonal, and none when both are; it composes two linear
+operands' images term by term.  `_operator_residues` compares images with
+a multiple of the wanted operator term by term.  `differential_residues` visits
 only the generators a derivation moves and those whose differential uses
 one, found through the model's reverse index.  Coefficients are stored as
 int whenever they are integral.  Each of these is checked here against a
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekk.action import build_action, verify_action
+from ekk.action import _operator_residues, build_action, verify_action
 from ekk.algebra import Element, UniverseError
 from ekk.dgca import model_s4, semifree_model, toroidify
 from ekk.derivations import (Derivation, bracket, derivation_basis,
@@ -94,6 +96,14 @@ def _setting(k: int, corrupt: bool = False):
     return model, ops, by_degree
 
 
+@lru_cache(maxsize=None)
+def _gens_by_degree(k: int):
+    by_degree = {}
+    for g in _setting(k)[0].generators:
+        by_degree.setdefault(g.degree, []).append(g)
+    return by_degree
+
+
 coefficients = st.one_of(
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
@@ -111,13 +121,37 @@ def elements(draw, model):
 
 
 @st.composite
+def linear_derivations(draw, k, corrupt=False):
+    """A random derivation of degree -1, 0 or 1 whose images are sums of
+    one to three generators."""
+    model = _setting(k, corrupt)[0]
+    targets = _gens_by_degree(k)
+    degree = draw(st.sampled_from((-1, 0, 1)))
+    images = {}
+    for g in draw(st.lists(st.sampled_from(model.generators), max_size=4)):
+        degree_targets = targets.get(g.degree + degree)
+        if degree_targets:
+            terms = draw(st.lists(
+                st.tuples(st.sampled_from(degree_targets), coefficients),
+                min_size=1, max_size=3))
+            img = Element.zero()
+            for t, c in terms:
+                img = img + Element.gen(t, c)
+            images[g] = img
+    return Derivation(degree, images, model, name="L")
+
+
+@st.composite
 def derivations(draw, k, corrupt=False):
-    """A named operator, a random diagonal derivation, or a random one of
-    degree -1, 0 or 1 whose images are generators or two-factor monomials."""
+    """A named operator, a random diagonal derivation, a random linear one,
+    or a random one of degree -1, 0 or 1 whose images are generators or
+    two-factor monomials."""
     model, ops, by_degree = _setting(k, corrupt)
-    choice = draw(st.integers(0, len(ops) + 1))
+    choice = draw(st.integers(0, len(ops) + 2))
     if choice < len(ops):
         return ops[choice]
+    if choice == len(ops) + 2:
+        return draw(linear_derivations(k, corrupt))
     picks = draw(st.lists(st.sampled_from(model.generators), max_size=4))
     if choice == len(ops):
         return Derivation(0, {g: Element.gen(g, draw(coefficients))
@@ -159,6 +193,94 @@ def test_bracket_matches_full_generator_scan(case):
     want = _ref_bracket(d1, d2)
     assert got == want
     assert list(got.images) == list(want.images)  # model generator order
+
+
+@st.composite
+def linear_operands(draw, k):
+    """A named linear operator of the rank-k model or a random linear one."""
+    named = [D for D in _setting(k)[1] if D.linear]
+    return draw(st.one_of(st.sampled_from(named), linear_derivations(k)))
+
+
+@st.composite
+def linear_bracket_cases(draw):
+    k = draw(st.integers(1, 3))
+    return draw(linear_operands(k)), draw(linear_operands(k))
+
+
+@given(linear_bracket_cases())
+@settings(max_examples=200, deadline=None)
+def test_linear_bracket_composes_like_the_reference(case):
+    d1, d2 = case
+    assert d1.linear and d2.linear
+    got = bracket(d1, d2)
+    want = _ref_bracket(d1, d2)
+    assert got == want
+    assert list(got.images) == list(want.images)  # model generator order
+    assert got.linear
+    for img in got.images.values():
+        for _, c in img.items():
+            assert type(c) is int or c.denominator != 1, repr(c)
+
+
+def _ref_residues(name, want, got, scale):
+    """got(g) - scale * want(g) on every generator of the model."""
+    out = []
+    for g in got.model.generators:
+        wanted = scale * want.image(g) if want is not None else Element.zero()
+        residue = got.image(g) - wanted
+        if not residue.is_zero:
+            out.append((name, got.model.name_of(g), residue))
+    return out
+
+
+@st.composite
+def operator_residue_cases(draw):
+    """(want, got, scale): got is scale * want, or the zero operator when
+    want is None, with a few images replaced or changed at random."""
+    k = draw(st.integers(1, 3))
+    model = _setting(k)[0]
+    want = draw(st.one_of(st.none(), derivations(k)))
+    scale = draw(st.one_of(st.sampled_from((0, 1, -1, 2, Fraction(1, 2))),
+                           coefficients))
+    degree = want.degree if want is not None else 0
+    images = dict((scale * want).images) if want is not None else {}
+    for g in draw(st.lists(st.sampled_from(model.generators), max_size=3)):
+        if draw(st.booleans()):
+            images[g] = images.get(g, Element.zero()) + draw(elements(model))
+        else:
+            images.pop(g, None)
+    return want, Derivation(degree, images, model), scale
+
+
+@given(operator_residue_cases())
+@settings(max_examples=300, deadline=None)
+def test_operator_residues_match_plain_subtraction(case):
+    want, got, scale = case
+    failures = _operator_residues("op", want, got, scale)
+    assert [(f.operator, f.generator, f.residue) for f in failures] == \
+        _ref_residues("op", want, got, scale)
+
+
+def test_operator_residues_scale_zero_and_fraction():
+    model, ops, _ = _setting(3)
+    e3 = next(D for D in ops if D.name == "e3")
+    g = model.generator("s1s2s3g7")
+    # scale 0: the wanted operator is zero, so every image of got fails
+    failures = _operator_residues("op", e3, e3, 0)
+    assert [f.generator for f in failures] == \
+        [model.name_of(h) for h in model.generators if h in e3.images]
+    assert all(f.residue == e3.image(model.generator(f.generator))
+               for f in failures)
+    # a Fraction scale: only the one image that is not scaled fails
+    half = Fraction(1, 2) * e3
+    images = dict(half.images)
+    images[g] = e3.image(g)
+    failures = _operator_residues("op", e3, Derivation(0, images, model),
+                                  Fraction(1, 2))
+    assert [(f.generator, f.residue) for f in failures] == \
+        [("s1s2s3g7", Fraction(1, 2) * e3.image(g))]
+    assert _operator_residues("op", e3, half, Fraction(1, 2)) == []
 
 
 @st.composite
