@@ -111,11 +111,12 @@ class Generator:
     by (family, position, decoration indices) and interned by their full
     identity, declaration position included.  Interning makes two generators
     with the same identity one object, so equality and hashing are those of
-    the object itself, and equal generators always share one sort key.
+    the object itself, and equal generators always share one sort key.  The
+    name and the print key are computed once, when the generator is interned.
     """
 
     __slots__ = ("family", "index", "base", "base_pos", "base_degree",
-                 "s_bits", "degree", "key")
+                 "s_bits", "degree", "key", "name", "print_key")
 
     _interned: Dict[tuple, "Generator"] = {}
 
@@ -139,14 +140,20 @@ class Generator:
         self.base_degree = base_degree
         self.s_bits = s_bits
         if family == _FAM_V:
-            self.degree = base_degree - s_bits.bit_count()
-            self.key = (2, base_pos, s_indices_of(s_bits))
+            indices = s_indices_of(s_bits)
+            self.degree = base_degree - len(indices)
+            self.key = (2, base_pos, indices)
+            self.name = "".join(f"s{i}" for i in indices) + base
         elif family == _FAM_W:
             self.degree = 2
             self.key = (0, index, ())
+            self.name = f"w{index}"
         else:
             self.degree = 1
             self.key = (1, index, ())
+            self.name = f"sw{index}"
+        # decorated bases, then sw, then w: mirrors the usual written order
+        self.print_key = (_FAM_V - family,) + self.key[1:]
 
     @staticmethod
     def w(i: int) -> "Generator":
@@ -179,15 +186,7 @@ class Generator:
 
     @property
     def s_indices(self) -> Tuple[int, ...]:
-        return s_indices_of(self.s_bits)
-
-    @property
-    def name(self) -> str:
-        if self.family == _FAM_W:
-            return f"w{self.index}"
-        if self.family == _FAM_SW:
-            return f"sw{self.index}"
-        return "".join(f"s{i}" for i in self.s_indices) + self.base
+        return self.key[2]
 
     def __repr__(self) -> str:
         return f"Generator({self.name}, deg={self.degree})"
@@ -236,13 +235,33 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
 
     None means the product vanishes because some odd generator would acquire
     exponent two.  The sign counts each odd factor of `b` crossing the odd
-    factors of `a` that exceed it in the canonical order.
+    factors of `a` that exceed it in the canonical order.  A one-factor `a`
+    is inserted by a single walk over `b`, which places it exactly where the
+    general merge would: before the first factor of `b` whose key is not
+    smaller, ties included.
     """
     if not a:
         return 1, b
     if not b:
         return 1, a
     la, lb = len(a), len(b)
+    if la == 1:
+        g = a[0][0]
+        key = g.key
+        crossed = 0
+        for j, fb in enumerate(b):
+            gb = fb[0]
+            if gb is g:
+                if g.degree & 1:
+                    return None
+                return 1, b[:j] + ((g, a[0][1] + fb[1]),) + b[j + 1:]
+            if gb.key >= key:
+                out = b[:j] + a + b[j:]
+                break
+            crossed += gb.degree & 1
+        else:
+            out = b + a
+        return (-1 if g.degree & 1 and crossed & 1 else 1), out
     # odd_suffix[i] = number of odd factors among a[i:]
     odd_suffix = [0] * (la + 1)
     for i in range(la - 1, -1, -1):
@@ -420,19 +439,14 @@ class Element:
         return element_text(self)
 
 
-def _print_key(g: Generator):
-    # decorated bases, then sw, then w: mirrors the usual written order
-    return (_FAM_V - g.family,) + g.key[1:]
-
-
 def print_terms(x: Element) -> List[Tuple[Scalar, Monomial]]:
     """The (coefficient, factors) terms of x in print order.
 
-    Factors sort by `_print_key`, terms by their factor lists.
+    Factors sort by `Generator.print_key`, terms by their factor lists.
     """
-    terms = [(c, tuple(sorted(m, key=lambda fe: _print_key(fe[0]))))
+    terms = [(c, tuple(sorted(m, key=lambda fe: fe[0].print_key)))
              for m, c in x.terms.items()]
-    terms.sort(key=lambda t: [(_print_key(g), e) for g, e in t[1]])
+    terms.sort(key=lambda t: [(g.print_key, e) for g, e in t[1]])
     return terms
 
 

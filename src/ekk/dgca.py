@@ -17,8 +17,12 @@ from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
 from .algebra import (
     Element,
     Generator,
+    Monomial,
     Scalar,
     UniverseError,
+    _acc,
+    _q,
+    monomial_product,
     s_bits_of,
     s_insertion_sign,
 )
@@ -327,16 +331,29 @@ _NamedTerms = Sequence[Tuple[Scalar, Sequence[str]]]
 
 def _element_from_names(terms: _NamedTerms,
                         gens: Dict[str, Generator]) -> Element:
-    """Sum of the (coefficient, [factor names]) terms over `gens`."""
-    acc = Element.zero()
+    """Sum of the (coefficient, [factor names]) terms over `gens`.
+
+    Each term's factors fold right to left into one canonical monomial, the
+    Koszul signs multiplied together; a repeated odd factor kills the term.
+    """
+    acc: Dict[Monomial, Scalar] = {}
     for coeff, factors in terms:
-        piece = Element.scalar(coeff)
-        for f in factors:
-            if f not in gens:
-                raise ValueError(f"undeclared generator {f!r}")
-            piece = piece * Element.gen(gens[f])
-        acc = acc + piece
-    return acc
+        try:
+            gs = [gens[f] for f in factors]
+        except KeyError as e:
+            raise ValueError(f"undeclared generator {e.args[0]!r}") from None
+        sign = 1
+        mono: Monomial = ()
+        for g in reversed(gs):
+            r = monomial_product(((g, 1),), mono)
+            if r is None:
+                break
+            sign *= r[0]
+            mono = r[1]
+        else:
+            c = _q(coeff)
+            _acc(acc, mono, c if sign > 0 else -c)
+    return Element(_raw=acc)
 
 
 def semifree_model(label: str, symbols: Sequence[Tuple[str, int]],
@@ -393,11 +410,18 @@ def _decorated_model(m: Dgca, k: int, truncated: bool, with_w: bool) -> Dgca:
                 img = img + Element.gen(w) * Element.gen(s_v)
         twisted[v.base] = img
     diff: Dict[Generator, Element] = {w: Element.zero() for w in w_gens}
+    # d(s_I v) = (-1)^|I| s_I(d v) = -s_{min I}(d(s_{I - min I} v)): one
+    # decoration step from the word one shorter, which `gens` lists earlier
+    # and truncation keeps (its degree is higher)
     for g in gens:
-        img = twisted[g.base]
-        for i in reversed(g.s_indices):
-            img = s_ops[i - 1].apply(img)
-        diff[g] = -img if g.s_bits.bit_count() & 1 else img
+        bits = g.s_bits
+        if bits:
+            low = bits & -bits
+            shorter = Generator.decorated(g.base, g.base_pos, g.base_degree,
+                                          bits ^ low)
+            diff[g] = -s_ops[low.bit_length() - 1].apply(diff[shorter])
+        else:
+            diff[g] = twisted[g.base]
     if with_w:
         label = f"{'' if truncated else '~'}T^{k}({m.label})"
     else:

@@ -118,15 +118,19 @@ def model_from_payload(payload: dict) -> Dgca:
             raise ValueError(f"generator {entry['name']!r} declares degree "
                              f"{entry['degree']}, its name gives {g.degree}")
         gens[entry["name"]] = g
+    coeffs: Dict[str, Fraction] = {}
     diff = {}
     for entry in payload["differential"]:
         if entry["generator"] not in gens:
             raise ValueError(
                 f"differential of undeclared generator {entry['generator']!r}")
-        diff[gens[entry["generator"]]] = _element_from_names(
-            [(Fraction(term["coeff"]), term["monomial"])
-             for term in entry["terms"]],
-            gens)
+        terms = []
+        for term in entry["terms"]:
+            c = coeffs.get(term["coeff"])
+            if c is None:
+                c = coeffs[term["coeff"]] = Fraction(term["coeff"])
+            terms.append((c, term["monomial"]))
+        diff[gens[entry["generator"]]] = _element_from_names(terms, gens)
     return Dgca(payload["label"], payload["k"], list(gens.values()), diff)
 
 

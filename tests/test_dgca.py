@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ekk.dgca import (DgcaHom, cyclification_model, d_squared_zero,
 from ekk.derivations import bracket, s_derivation
 from ekk.action import monomial_weight, weight_of
 from ekk.adjunction import totalize
+from ekk.reports import dump_json, model_payload, model_text
 
 from _golden import GOLDEN_RANK3, E
 
@@ -101,6 +103,29 @@ def test_golden_cyclic_and_loop_differentials(model, golden):
     assert {g.name for g in model.generators} == set(golden)
     for name, terms in golden.items():
         assert model.diff[model.generator(name)] == E(model, *terms), name
+
+
+# sha256 of the "generators" and "differential" fields of model_payload plus
+# model_text: pins the exports byte for byte at ranks above those of the CLI
+# goldens, which stop at k = 4
+EXPORT_DIGESTS = {
+    "L^8": "1692d6f6c2faea842374ed201a5bf025ad2581afb016e0d24e05c1fe4df096fa",
+    "T^9": "ab108a95f668249a2aba8b6c1036cc787f2b78daa3e2caad84945767d36d1767",
+    "~T^8": "d82b71b1dcf26d301d155ed89835c28d2baacd0096176fc0b5b0156a054c46e9",
+}
+
+
+@pytest.mark.parametrize("label,build", [
+    ("L^8", lambda: free_loop_model(S4, 8)),
+    ("T^9", lambda: toroidify(S4, 9)),
+    ("~T^8", lambda: toroidify(S4, 8, truncated=False)),
+])
+def test_model_exports_above_golden_ranks(label, build):
+    m = build()
+    p = model_payload(m)
+    text = dump_json({"generators": p["generators"],
+                      "differential": p["differential"]}) + "\n" + model_text(m)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DIGESTS[label]
 
 
 @pytest.mark.parametrize("k", range(0, 7))

@@ -8,9 +8,13 @@ operands' images term by term.  `_operator_residues` compares images with
 a multiple of the wanted operator term by term.  `differential_residues` visits
 only the generators a derivation moves and those whose differential uses
 one, found through the model's reverse index.  Coefficients are stored as
-int whenever they are integral.  Each of these is checked here against a
-plain reference on random input, and every coefficient is checked to be
-exact (int or Fraction, never float).
+int whenever they are integral.  On the model-building side,
+`monomial_product` inserts a one-factor left operand by a single walk,
+`_element_from_names` folds each named term straight into one monomial,
+and the decorated constructors take one decoration step per generator.
+Each of these is checked here against a plain reference on random input,
+and every coefficient is checked to be exact (int or Fraction, never
+float).
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekk.action import _operator_residues, build_action, verify_action
-from ekk.algebra import Element, UniverseError
-from ekk.dgca import model_s4, semifree_model, toroidify
+from ekk.algebra import (Element, Generator, UniverseError, monomial_product,
+                         parse_generator_name, s_indices_of)
+from ekk.dgca import (_element_from_names, cyclification_model,
+                      free_loop_model, model_s4, semifree_model, toroidify)
 from ekk.derivations import (Derivation, bracket, derivation_basis,
                              differential_residues, nullspace, s_derivation,
                              sparse_rank)
@@ -388,3 +394,193 @@ def test_generators_of_other_declaration_orders_are_distinct():
     assert again.generator("x") is xy.generator("x")
     assert again.gen_element("y") * again.gen_element("x") == \
         xy.gen_element("x") * xy.gen_element("y")
+
+
+# -- model building -----------------------------------------------------------
+
+def _ref_merge(a, b):
+    """`monomial_product`'s general merge, for any length of `a`."""
+    if not a:
+        return 1, b
+    if not b:
+        return 1, a
+    odd_suffix = [0] * (len(a) + 1)
+    for i in range(len(a) - 1, -1, -1):
+        odd_suffix[i] = odd_suffix[i + 1] + (a[i][0].degree & 1)
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ga, ea), (gb, eb) = a[i], b[j]
+        if ga is gb:
+            if ga.degree & 1:
+                return None
+            out.append((ga, ea + eb))
+            i += 1
+            j += 1
+        elif ga.key <= gb.key:
+            out.append(a[i])
+            i += 1
+        else:
+            if (gb.degree & 1) and (odd_suffix[i] & 1):
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    return sign, tuple(out + list(a[i:]) + list(b[j:]))
+
+
+# two base tables whose generators share keys: ("g4", 0) and ("x", 0) both
+# sort at position 0, and so do their decorations by the same word
+_TIED_GENS = [Generator.w(1), Generator.w(2), Generator.sw(1)] + [
+    Generator.decorated(base, pos, deg, bits)
+    for base, pos, deg in (("g4", 0, 4), ("g7", 1, 7), ("x", 0, 3),
+                           ("y", 1, 6))
+    for bits in (0, 1, 2, 3)]
+
+
+@st.composite
+def factors(draw):
+    g = draw(st.sampled_from(_TIED_GENS))
+    return g, 1 if g.degree & 1 else draw(st.integers(1, 3))
+
+
+@st.composite
+def one_factor_products(draw):
+    picked = draw(st.lists(factors(), max_size=6,
+                           unique_by=lambda fe: fe[0]))
+    b = tuple(sorted(picked, key=lambda fe: fe[0].key))
+    if b and draw(st.booleans()):
+        a = draw(st.sampled_from(b))  # a factor b already has
+    else:
+        a = draw(factors())
+    return (a,), b
+
+
+@given(one_factor_products())
+@settings(max_examples=500, deadline=None)
+def test_one_factor_product_matches_general_merge(case):
+    a, b = case
+    assert monomial_product(a, b) == _ref_merge(a, b)
+
+
+def test_one_factor_product_ties_follow_general_merge():
+    g4 = Generator.decorated("g4", 0, 4)
+    x = Generator.decorated("x", 0, 3)
+    s1g4 = Generator.decorated("g4", 0, 4, 1)
+    s1x = Generator.decorated("x", 0, 3, 1)
+    assert g4.key == x.key and s1g4.key == s1x.key
+    for a, b in [(((g4, 1),), ((x, 1),)), (((x, 1),), ((g4, 1),)),
+                 (((s1g4, 1),), ((s1x, 1),)), (((s1x, 1),), ((s1g4, 1),)),
+                 (((s1x, 1),), ((s1g4, 1), (g4, 2)))]:
+        assert monomial_product(a, b) == _ref_merge(a, b)
+
+
+def _ref_from_names(terms, gens):
+    """The fold of `Element` products and sums that builds named terms."""
+    acc = Element.zero()
+    for coeff, names in terms:
+        piece = Element.scalar(coeff)
+        for f in names:
+            piece = piece * Element.gen(gens[f])
+        acc = acc + piece
+    return acc
+
+
+_T2 = toroidify(model_s4(), 2)
+_T2_NAMES = {g.name: g for g in _T2.generators}
+
+
+@st.composite
+def named_terms(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        names = draw(st.lists(st.sampled_from(sorted(_T2_NAMES)),
+                              max_size=4))
+        coeff = draw(coefficients)
+        terms.append((coeff, names))
+        if draw(st.booleans()):  # the same term reordered, maybe cancelling
+            terms.append((draw(st.sampled_from((coeff, -coeff))),
+                          draw(st.permutations(names))))
+    return terms
+
+
+def _typed_terms(x: Element):
+    return [(m, c, type(c)) for m, c in x.terms.items()]
+
+
+@given(named_terms())
+@settings(max_examples=400, deadline=None)
+def test_element_from_names_matches_element_fold(terms):
+    got = _element_from_names(terms, _T2_NAMES)
+    assert _typed_terms(got) == _typed_terms(_ref_from_names(terms, _T2_NAMES))
+
+
+def test_element_from_names_signs_cancellation_and_odd_squares():
+    # s1g4 and s2g4 are odd: swapping them costs a sign, repeating one
+    # kills the term
+    cases = [
+        [(1, ["s2g4", "s1g4"])],
+        [(1, ["s1g4", "s2g4"]), (1, ["s2g4", "s1g4"])],
+        [(Fraction(1, 2), ["g4", "s1g4", "w1"]), (Fraction(1, 2),
+                                                  ["w1", "g4", "s1g4"])],
+        [(3, ["s1g4", "g4", "s1g4"]), (2, ["w1", "w1"])],
+        [(0, ["g4"]), (Fraction(-4, 2), [])],
+    ]
+    for terms in cases:
+        got = _element_from_names(terms, _T2_NAMES)
+        assert _typed_terms(got) == \
+            _typed_terms(_ref_from_names(terms, _T2_NAMES))
+    assert _element_from_names(cases[0], _T2_NAMES) == Element.monomial(
+        ((Generator.decorated("g4", 0, 4, 1), 1),
+         (Generator.decorated("g4", 0, 4, 2), 1)), -1)
+    assert not _element_from_names(cases[1], _T2_NAMES)
+    assert _element_from_names(cases[3], _T2_NAMES) == \
+        Element.monomial(((Generator.w(1), 2),), 2)
+    with pytest.raises(ValueError, match="'nope'"):
+        _element_from_names([(1, ["g4", "nope", "alsonot"])], _T2_NAMES)
+
+
+def _ref_decorated_diff(model):
+    """d on every generator, each decoration applied one at a time to the
+    differential of its undecorated generator."""
+    undecorated = {g.base: g for g in model.generators
+                   if g.is_decorated_base and not g.s_bits}
+    s_ops = {i: s_derivation(i, model) for i in range(1, model.k + 1)}
+    out = {}
+    for g in model.generators:
+        if not g.is_decorated_base:
+            out[g] = model.diff[g]
+            continue
+        img = model.diff[undecorated[g.base]]
+        for i in reversed(g.s_indices):
+            img = s_ops[i].apply(img)
+        out[g] = -img if len(g.s_indices) & 1 else img
+    return out
+
+
+# an odd generator of degree 1, and d^2 != 0 on z: constructors take any base
+_GENERAL_BASE = semifree_model("Y", [("u", 1), ("x", 2), ("y", 3), ("z", 4)],
+                               {"y": [(1, ["x", "x"])], "z": [(1, ["x", "y"])]})
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda k=k, t=t: toroidify(model_s4(), k, truncated=t)
+      for k in range(7) for t in (True, False)),
+    *(lambda k=k: free_loop_model(model_s4(), k) for k in range(7)),
+    lambda: cyclification_model(model_s4()),
+    *(lambda k=k, t=t: toroidify(_GENERAL_BASE, k, truncated=t)
+      for k in range(5) for t in (True, False)),
+    lambda: free_loop_model(_GENERAL_BASE, 4),
+    lambda: cyclification_model(_GENERAL_BASE),
+])
+def test_decorated_models_match_one_decoration_at_a_time(build):
+    model = build()
+    assert model.diff == _ref_decorated_diff(model)
+
+
+def test_generator_names_parse_back_to_the_generator():
+    model = toroidify(model_s4(), 6, truncated=False)
+    table = {"g4": (0, 4), "g7": (1, 7)}
+    for g in model.generators:
+        assert parse_generator_name(g.name, table) is g
+        assert g.s_indices == s_indices_of(g.s_bits)
