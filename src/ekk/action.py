@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, Monomial, Scalar, element_text,
                       s_indices_of)
-from .cartan import CartanData, cartan_data, cartan_matrix, eps_on_h
+from .cartan import cartan_data, cartan_matrix, eps_on_h
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
 from .derivations import Derivation, bracket, differential_residues
 
@@ -47,25 +47,15 @@ ALL_CHECKS = ("chain", "cartan", "ef", "serre", "weight")
 def weight_of(g: Generator, k: int) -> WeightVector:
     """Weight of a model generator in eps-coordinates (length k+1).
 
-    Decorations add +eps_i, the polynomial generators carry -eps_i, and the
-    base generators carry -eps_0 (g4) and -2 eps_0 (g7).  Only the 4-sphere
-    family carries weights.
+    The negated `torus_exponents`: decorations add +eps_i, the polynomial
+    generators carry -eps_i, and the base generators carry -eps_0 (g4) and
+    -2 eps_0 (g7).  Only the 4-sphere family carries weights.
     """
     w = [0] * (k + 1)
-    if g.is_w:
-        if g.index > k:
-            raise ValueError(f"w{g.index} out of range for k={k}")
-        w[g.index] = -1
-        return tuple(w)
-    if g.is_sw:
-        raise ValueError("sw generators carry no weight")
-    if g.base not in _S4_EPS0:
-        raise ValueError(f"no weight table for base symbol {g.base!r}")
-    w[0] = _S4_EPS0[g.base]
-    for i in g.s_indices:
+    for i, c in torus_exponents(g).items():
         if i > k:
-            raise ValueError(f"decoration {i} out of range for k={k}")
-        w[i] += 1
+            raise ValueError(f"index {i} of {g.name} out of range for k={k}")
+        w[i] = -c
     return tuple(w)
 
 
@@ -78,11 +68,11 @@ def monomial_weight(m: Monomial, k: int,
                     weights: Optional[Dict[Generator, WeightVector]] = None
                     ) -> WeightVector:
     """Sum of the factors' weights, read from the `weight_table` `weights`
-    when given; a generator missing from it falls back to `weight_of`."""
+    when given."""
     w = [0] * (k + 1)
     for g, e in m:
-        gw = weights.get(g) if weights is not None else None
-        for idx, c in enumerate(gw or weight_of(g, k)):
+        gw = weights[g] if weights is not None else weight_of(g, k)
+        for idx, c in enumerate(gw):
             w[idx] += c * e
     return tuple(w)
 
@@ -183,7 +173,6 @@ class ChevalleyAction:
     model: Dgca
     e: Dict[int, Derivation]
     f: Dict[int, Derivation]
-    cartan: Optional[CartanData]
     coroots: Dict[int, Tuple[int, ...]]
     simple_roots: Dict[int, Tuple[int, ...]]
     #: the model's `weight_table`
@@ -221,14 +210,13 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
         coroots = {i: data.coroot(i) for i in range(1, k + 1)}
         roots = {i: data.root(i) for i in range(1, k + 1)}
     else:
-        data = None
         coroots = {}
         roots = {}
         if k == 2:
             # single simple root eps_1 - eps_2 with coroot h_1 - h_2
             roots[1] = (0, 1, -1)
             coroots[1] = (0, 1, -1)
-    return ChevalleyAction(k, model, e, f, data, coroots, roots,
+    return ChevalleyAction(k, model, e, f, coroots, roots,
                            weight_table(model))
 
 
@@ -296,6 +284,17 @@ def _operator_residues(name: str, want: Optional[Derivation],
     return failures
 
 
+def _relation_report(check: str, cases: Iterable[Tuple[
+        str, Derivation, Optional[Derivation], Scalar]]) -> CheckReport:
+    """Run `_operator_residues` on each (name, got, want, scale) case."""
+    failures = []
+    checked = 0
+    for name, got, want, scale in cases:
+        failures.extend(_operator_residues(name, want, got, scale))
+        checked += 1
+    return CheckReport(check, failures, checked)
+
+
 def verify_action(a: ChevalleyAction,
                   checks: Iterable[str] = ALL_CHECKS) -> VerifyReport:
     """Run the selected relation checks; failures carry exact residues.
@@ -314,55 +313,35 @@ def verify_action(a: ChevalleyAction,
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     model = a.model
-    ef_ops = list(a.e.values()) + list(a.f.values())
+    # (operator, weight shift): e_i raises by alpha_i, f_i lowers by it
+    signed = [(D, a.simple_roots[i]) for i, D in a.e.items()] + \
+        [(D, tuple(-c for c in a.simple_roots[i])) for i, D in a.f.items()]
     # only chain and cartan read the diagonal basis
     h_ops = a.h_basis() if {"chain", "cartan"} & set(selected) else []
 
     def run_chain() -> CheckReport:
-        ops = ef_ops + h_ops
+        ops = [D for D, _ in signed] + h_ops
         failures = [Failure(D.name, model.name_of(g), residue)
                     for D in ops for g, residue in differential_residues(D)]
         return CheckReport("chain", failures,
                            len(ops) * len(model.generators))
 
-    def run_cartan() -> CheckReport:
-        failures = []
-        checked = 0
+    # the relation checks yield `_relation_report` cases
+    def cartan_cases():
         for j, h_op in enumerate(h_ops):
-            for i, op in list(a.e.items()) + [(-i, D) for i, D in
-                                              a.f.items()]:
-                lowering = i < 0
-                idx = -i if lowering else i
-                alpha = a.simple_roots[idx]
-                scale = eps_on_h(alpha, _unit_h(a.k, j))
-                if lowering:
-                    scale = -scale
-                got = bracket(h_op, op)
-                failures.extend(_operator_residues(
-                    f"[h{j},{op.name}]", op, got, scale))
-                checked += 1
+            for op, shift in signed:
+                yield (f"[h{j},{op.name}]", bracket(h_op, op), op,
+                       eps_on_h(shift, _unit_h(a.k, j)))
             for j2 in range(j + 1, a.k + 1):
-                got = bracket(h_op, h_ops[j2])
-                failures.extend(_operator_residues(
-                    f"[h{j},h{j2}]", None, got))
-                checked += 1
-        return CheckReport("cartan", failures, checked)
+                yield f"[h{j},h{j2}]", bracket(h_op, h_ops[j2]), None, 1
 
-    def run_ef() -> CheckReport:
-        failures = []
-        checked = 0
+    def ef_cases():
         for i, e_op in a.e.items():
             for j, f_op in a.f.items():
-                got = bracket(e_op, f_op)
                 want = a.h(a.coroots[i]) if i == j else None
-                failures.extend(_operator_residues(
-                    f"[e{i},f{j}]", want, got))
-                checked += 1
-        return CheckReport("ef", failures, checked)
+                yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 
-    def run_serre() -> CheckReport:
-        failures = []
-        checked = 0
+    def serre_cases():
         C = cartan_matrix(a.k) if a.k >= 3 else None
         for ops in (a.e, a.f):
             idxs = sorted(ops)
@@ -374,21 +353,14 @@ def verify_action(a: ChevalleyAction,
                     acc = ops[j]
                     for _ in range(1 - c_ij):
                         acc = bracket(ops[i], acc)
-                    failures.extend(_operator_residues(
-                        f"ad({ops[i].name})^{1 - c_ij}({ops[j].name})",
-                        None, acc))
-                    checked += 1
-        return CheckReport("serre", failures, checked)
+                    yield (f"ad({ops[i].name})^{1 - c_ij}({ops[j].name})",
+                           acc, None, 1)
 
     def run_weight() -> CheckReport:
         failures = []
         checked = 0
         weights = a.weights
-        for i, op in list(a.e.items()) + [(-i, D) for i, D in a.f.items()]:
-            lowering = i < 0
-            idx = -i if lowering else i
-            alpha = a.simple_roots[idx]
-            shift = tuple(-c for c in alpha) if lowering else alpha
+        for op, shift in signed:
             images = op.images
             for g in model.generators:
                 img = images.get(g)
@@ -403,11 +375,13 @@ def verify_action(a: ChevalleyAction,
                             Element.monomial(mono)))
         return CheckReport("weight", failures, checked)
 
-    runners = {"chain": run_chain, "cartan": run_cartan, "ef": run_ef,
-               "serre": run_serre, "weight": run_weight}
+    runners = {"chain": run_chain, "weight": run_weight}
+    relations = {"cartan": cartan_cases, "ef": ef_cases,
+                 "serre": serre_cases}
     for name in ALL_CHECKS:
         if name in selected:
-            report.add(name, runners[name]())
+            report.add(name, runners[name]() if name in runners
+                       else _relation_report(name, relations[name]()))
     return report
 
 
@@ -465,21 +439,16 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
     k = a.k
     if k < 2:
         raise ValueError("gravity line needs k >= 2")
+    # E_ij and E_ji for j > i, one running bracket per row i
     ops: List[Derivation] = []
-    upper: Dict[Tuple[int, int], Derivation] = {}
-    lower: Dict[Tuple[int, int], Derivation] = {}
     for i in range(1, k):
-        upper[(i, i + 1)] = a.e[i]
-        lower[(i + 1, i)] = a.f[i]
-    for span in range(2, k):
-        for i in range(1, k - span + 1):
-            j = i + span
-            upper[(i, j)] = bracket(upper[(i, j - 1)], a.e[j - 1])
-            lower[(j, i)] = bracket(a.f[j - 1], lower[(j - 1, i)])
-    ops.extend(upper.values())
-    ops.extend(lower.values())
-    for i in range(1, k):
-        ops.append(a.h(a.coroots[i]))
+        up, down = a.e[i], a.f[i]
+        ops += [up, down]
+        for j in range(i + 2, k + 1):
+            up = bracket(up, a.e[j - 1])
+            down = bracket(a.f[j - 1], down)
+            ops += [up, down]
+    ops.extend(a.h(a.coroots[i]) for i in range(1, k))
 
     gen_index = {g: n for n, g in enumerate(a.model.generators)}
     n = len(gen_index)

@@ -181,10 +181,6 @@ class Generator:
         return self.family == _FAM_V
 
     @property
-    def parity(self) -> int:
-        return self.degree & 1
-
-    @property
     def s_indices(self) -> Tuple[int, ...]:
         return self.key[2]
 

@@ -58,7 +58,6 @@ class CartanData:
     """Simple roots and coroots of the rank-k system inside h_k."""
 
     k: int
-    metric_signs: Vec               # (-1, 1, ..., 1)
     simple_roots: Tuple[Vec, ...]   # eps-coordinates, length k+1 each
     simple_coroots: Tuple[Vec, ...]  # h-coordinates, length k+1 each
     K: Vec                          # h-coordinates
@@ -133,8 +132,7 @@ def cartan_data(k: int) -> CartanData:
     coroots = [eps((i, 1), (i + 1, -1)) for i in range(1, k)]
     coroots.append(eps((0, 1), (1, -1), (2, -1), (3, -1)))
     K = tuple([-3] + [1] * k)
-    data = CartanData(k, tuple([-1] + [1] * k), tuple(roots),
-                      tuple(coroots), K)
+    data = CartanData(k, tuple(roots), tuple(coroots), K)
     for i, alpha in enumerate(data.simple_roots, start=1):
         if eps_on_h(alpha, K) != 0:
             raise AssertionError(f"alpha_{i} not orthogonal to K at k={k}")

@@ -27,8 +27,15 @@ from .reports import dump_json, model_latex, model_payload, model_text
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ekk",
         description="Exact models of loop-space quotients of the 4-sphere "
                     "and their split Lie algebra symmetries.")

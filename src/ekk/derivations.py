@@ -156,9 +156,6 @@ class Derivation:
                           {g: img * c for g, img in self.images.items()},
                           self.model, self.name)
 
-    def __neg__(self) -> "Derivation":
-        return self.__rmul__(-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
@@ -407,15 +404,6 @@ def _monomials_of_degree(gens: Sequence[Generator], degree: int
     return out
 
 
-def _model_weights(m: Dgca) -> Optional[Dict[Generator, Tuple[int, ...]]]:
-    """Per-generator weights when the model is in the 4-sphere family."""
-    from .action import weight_table
-    try:
-        return weight_table(m)
-    except ValueError:
-        return None
-
-
 def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
     """Exact basis of degree-0 derivations of m commuting with d.
 
@@ -430,7 +418,11 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
             f"full mode is limited to models with <= {FULL_MODE_GENERATOR_CAP} "
             f"generators; {m.label} has {len(m.generators)}")
 
-    weights = _model_weights(m)
+    from .action import monomial_weight, weight_table
+    try:
+        weights = weight_table(m)
+    except ValueError:
+        weights = None  # only the 4-sphere family carries weights
 
     # candidate images per generator
     candidates: List[Tuple[Generator, Monomial]] = []
@@ -446,11 +438,8 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
     def shift(g: Generator, mono: Monomial) -> Tuple[int, ...]:
         if weights is None:
             return ()
-        w = [0] * (m.k + 1)
-        for h, e in mono:
-            for a, c in enumerate(weights[h]):
-                w[a] += c * e
-        return tuple(w[a] - c for a, c in enumerate(weights[g]))
+        w = monomial_weight(mono, m.k, weights)
+        return tuple(a - c for a, c in zip(w, weights[g]))
 
     blocks: Dict[Tuple[int, ...], List[Tuple[Generator, Monomial]]] = {}
     for g, mono in candidates:

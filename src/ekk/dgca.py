@@ -151,12 +151,13 @@ class Dgca:
         """The given generators sorted by key, which is model order.
 
         Positions in the model compare faster than keys; a generator of
-        another model falls back to the key sort.
+        another model raises `UniverseError`.
         """
         try:
             return sorted(gens, key=self._position.__getitem__)
-        except KeyError:
-            return sorted(gens, key=lambda g: g.key)
+        except KeyError as exc:
+            raise UniverseError(f"{exc.args[0].name} is not a generator "
+                                f"of {self.label}") from None
 
     def name_of(self, g: Generator) -> str:
         return self.display.get(g, g.name)
@@ -175,9 +176,6 @@ class Dgca:
             self._d = Derivation(degree=1, images=self.diff, model=self,
                                  name="d")
         return self._d
-
-    def d(self, x: Element) -> Element:
-        return self.differential_derivation().apply(x)
 
     def reached_from(self, moved: Iterable[Generator]) -> List[Generator]:
         """Generators, in model order, that are in `moved` or whose

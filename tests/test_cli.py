@@ -250,9 +250,18 @@ def test_verify_payload_schema(capsys):
     ["adjunction-demo", "--samples", "0"],
     ["adjunction-demo", "--samples", "-3"],
     ["parabolic", "--k", "5", "--out", "/nonexistent/dir/x.json"],
+    ["verify", "--k", "abc"],
+    ["verify"],
+    ["verify", "--k", "3", "--format", "latex"],
+    ["verify", "--k", "3", "--jobs", "2"],
+    ["table1", "--kmin", "5", "--kmax", "3"],
+    ["adjunction-demo", "--k", "4"],
 ])
 def test_model_bad_input_one_line_exit_two(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ekk.algebra import Element
+from ekk.algebra import Element, UniverseError
 from ekk.action import build_action, h_derivation
-from ekk.dgca import model_s4, toroidify
+from ekk.dgca import model_s4, semifree_model, toroidify
 from ekk.derivations import (Derivation, bracket, commutes_with_differential,
                              derivation_basis, nullspace, s_derivation,
                              sparse_rank)
@@ -133,6 +133,23 @@ def test_derivation_basis_members_commute_with_d():
     t1 = toroidify(S4, 1)
     for D in derivation_basis(t1, "full").basis:
         assert commutes_with_differential(D).ok
+
+
+@pytest.mark.parametrize("mode", ["linear", "full"])
+def test_derivation_basis_outside_the_sphere_family(mode):
+    # no weights here, so the equations are solved as one block
+    m = semifree_model("Y", [("x", 2), ("y", 3)], {"y": [(1, ["x", "x"])]})
+    (D,) = derivation_basis(m, mode).basis
+    x, y = m.generator("x"), m.generator("y")
+    assert D.images == {x: Element.gen(x, Fraction(1, 2)),
+                        y: Element.gen(y)}
+    assert commutes_with_differential(D).ok
+
+
+def test_bracket_of_operators_from_two_models_raises():
+    message = r"^s1s2s3s4g7 is not a generator of T\^3\(S4\)$"
+    with pytest.raises(UniverseError, match=message):
+        bracket(build_action(3).e[1], build_action(4).e[4])
 
 
 def test_full_mode_cost_guard():

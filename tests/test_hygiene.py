@@ -1,22 +1,29 @@
 """Source hygiene: no module of the library or of the tests imports a name
-it never uses.
+it never uses, and the library defines no member that nothing uses.
 
-A stdlib `ast` scan.  An imported name counts as used when it appears as a
+Stdlib `ast` scans.  An imported name counts as used when it appears as a
 name anywhere in the module (string annotations included), when it is
 listed in the module's `__all__`, or when the module is `ekk/__init__.py`,
-whose imports are the package's public names.
+whose imports are the package's public names.  A method or property of a
+library class counts as used when its name appears as an attribute in the
+library, the tests or the benchmark, or when it overrides a member of a
+`module.Class` base from outside the library, which that base calls.
+A private module-level function counts as used when its name appears there
+as a name or an attribute.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "ekk").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "ekk").glob("*.py"))
+MODULES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
+USERS = MODULES + sorted((ROOT / "bench").rglob("*.py"))
 
 
 def _imported(tree: ast.Module):
@@ -74,6 +81,44 @@ def unused_imports(path: Path):
             for line, name in _imported(tree) if name not in used]
 
 
+def _inherited(cls: ast.ClassDef) -> set:
+    """Member names of the `module.Class` bases of `cls`."""
+    names = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Attribute) and isinstance(base.value,
+                                                          ast.Name):
+            module = importlib.import_module(base.value.id)
+            names |= set(dir(getattr(module, base.attr)))
+    return names
+
+
+def unused_members(library, users):
+    """Methods, properties and private functions of the `library` modules
+    whose names the `users` modules never read."""
+    attrs, names = set(), set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    found = []
+    for path in library:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                used = attrs | _inherited(node)
+                found += [f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("__")
+                          and item.name not in used]
+            elif isinstance(node, ast.FunctionDef) and \
+                    node.name.startswith("_") and \
+                    node.name not in attrs | names:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -86,3 +131,25 @@ def test_scan_flags_an_unused_import(tmp_path):
                     '__all__ = ["Element"]\n'
                     'def f(x: "Dict[str, int]") -> int:\n    return 1\n')
     assert unused_imports(path) == ["probe.py:1 os", "probe.py:2 List"]
+
+
+def test_no_unused_members():
+    assert unused_members(LIBRARY, USERS) == []
+
+
+def test_scan_flags_an_unused_member(tmp_path):
+    library = tmp_path / "probe.py"
+    library.write_text('import argparse\n'
+                       'class A:\n'
+                       '    def __len__(self):\n        return 0\n'
+                       '    def used(self):\n        return _helper()\n'
+                       '    def unused(self):\n        return 1\n'
+                       'class P(argparse.ArgumentParser):\n'
+                       '    def error(self, message):\n        pass\n'
+                       'def _helper():\n    return 1\n'
+                       'def _orphan():\n    return 2\n'
+                       'def public():\n    return 3\n')
+    user = tmp_path / "user.py"
+    user.write_text('def f(a):\n    return a.used()\n')
+    assert unused_members([library], [library, user]) == [
+        "probe.py:7 A.unused", "probe.py:14 _orphan"]
