@@ -4,6 +4,11 @@ Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage
 error, 3 internal error (an exception no verb expected).  JSON reports are
 deterministic for a fixed command and seed; the wall-time field is
 informational and excluded from that guarantee.
+
+Each verb is one row of `VERBS`; its runner returns (ok, payload, text)
+and `main` does all I/O.  A row with a command template wraps the JSON
+payload in the envelope {"command", "status", "payload", "wall_ms"}; a row
+without one prints the payload bare.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import adjunction as adj
 from .action import ALL_CHECKS, build_action, verify_action, weight_table
@@ -26,6 +32,9 @@ from .reports import dump_json, model_latex, model_payload, model_text
 
 __all__ = ["main", "build_parser"]
 
+#: the ranks `verify`, `derivations` and `table1` accept: 0 <= k <= 11
+VERIFY_RANKS = range(0, 12)
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one stderr line; subparsers share the class."""
@@ -34,102 +43,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="ekk",
-        description="Exact models of loop-space quotients of the 4-sphere "
-                    "and their split Lie algebra symmetries.")
-    sub = p.add_subparsers(dest="verb", required=True)
-
-    fmt = {"choices": ["json", "text", "latex"], "default": "text"}
-
-    m = sub.add_parser("model", help="build and print a model")
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--space", choices=["sphere", "loop", "cyclic", "torus"],
-                   default="torus")
-    m.add_argument("--untruncated", action="store_true")
-    m.add_argument("--format", **fmt)
-    m.add_argument("--out")
-
-    v = sub.add_parser("verify", help="run the relation checks for one rank")
-    v.add_argument("--k", type=int, required=True)
-    v.add_argument("--checks", default=",".join(ALL_CHECKS))
-    v.add_argument("--format", choices=["json", "text"], default="text")
-    v.add_argument("--out")
-
-    r = sub.add_parser("roots", help="positive roots for 3 <= k <= 8")
-    r.add_argument("--k", type=int, required=True)
-    r.add_argument("--format", choices=["json", "text"], default="text")
-    r.add_argument("--out")
-
-    pb = sub.add_parser("parabolic", help="Langlands dimension split")
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--format", choices=["json", "text"], default="text")
-    pb.add_argument("--out")
-
-    dv = sub.add_parser("derivations",
-                        help="dimension of the derivation space")
-    dv.add_argument("--k", type=int, required=True)
-    dv.add_argument("--mode", choices=["linear", "full"], default="linear")
-    dv.add_argument("--format", choices=["json", "text"], default="text")
-    dv.add_argument("--out")
-
-    ad = sub.add_parser("adjunction-demo",
-                        help="round-trip and truncation correspondence demo")
-    ad.add_argument("--k", type=int, default=1)
-    ad.add_argument("--seed", type=int, default=0)
-    ad.add_argument("--samples", type=int, default=10)
-    ad.add_argument("--format", choices=["json", "text"], default="text")
-    ad.add_argument("--out")
-
-    t = sub.add_parser("table1", help="summary table over a range of ranks")
-    t.add_argument("--kmin", type=int, default=0)
-    t.add_argument("--kmax", type=int, default=8)
-    t.add_argument("--format", choices=["json", "text"], default="text")
-    t.add_argument("--out")
-    return p
+class _UsageError(Exception):
+    """A command line the verb cannot run: one stderr line, exit 2."""
 
 
-def _emit(ns, payload: dict, text: str, status_ok: bool) -> int:
-    fmt = getattr(ns, "format", "text")
-    if fmt == "json":
-        body = dump_json(payload)
-    else:
-        body = text
-    out_path = getattr(ns, "out", None)
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(body + "\n")
-        except OSError as exc:
-            print(f"cannot write --out: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(body)
-    return 0 if status_ok else 1
-
-
-def _out_problem(path: str) -> Optional[str]:
-    """Why `path` cannot be written, or None; leaves no new file behind."""
+def _write_out(path: str, body: Optional[str] = None) -> None:
+    """Write `body` to `path`; without a body, only check that `path` can
+    be written, leaving no new file behind."""
     existed = os.path.exists(path)
     try:
-        with open(path, "a"):
-            pass
+        with open(path, "a" if body is None else "w") as fh:
+            if body is not None:
+                fh.write(body + "\n")
     except OSError as exc:
-        return str(exc)
-    if not existed:
+        raise _UsageError(f"cannot write --out: {exc}") from None
+    if body is None and not existed:
         os.remove(path)
-    return None
-
-
-def _report(command: str, status_ok: bool, payload: dict,
-            started: float) -> dict:
-    return {
-        "command": command,
-        "status": "pass" if status_ok else "fail",
-        "payload": payload,
-        "wall_ms": round((time.monotonic() - started) * 1000, 3),
-    }
 
 
 def _build_space(ns) -> Dgca:
@@ -143,107 +72,69 @@ def _build_space(ns) -> Dgca:
     return toroidify(s4, ns.k, truncated=not ns.untruncated)
 
 
-def cmd_model(ns) -> int:
-    started = time.monotonic()
-    if not 0 <= ns.k <= MAX_RANK:
-        print(f"model supports 0 <= k <= {MAX_RANK}", file=sys.stderr)
-        return 2
+def cmd_model(ns) -> Tuple[bool, dict, str]:
     if ns.untruncated and ns.space != "torus":
-        print(f"--untruncated applies only to --space torus, not {ns.space}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"--untruncated applies only to --space torus, not {ns.space}")
     fixed_rank = {"sphere": 0, "cyclic": 1}.get(ns.space)
     if fixed_rank is not None and ns.k != fixed_rank:
-        print(f"--space {ns.space} needs --k {fixed_rank}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--space {ns.space} needs --k {fixed_rank}")
     model = _build_space(ns)
-    weights = None
-    if not ns.untruncated:
-        weights = weight_table(model)
-    payload = model_payload(model, weights)
-    if ns.format == "latex":
-        return _emit(ns, payload, model_latex(model), True)
-    text = model_text(model)
-    return _emit(ns, _report(f"model --k {ns.k}", True, payload, started),
-                 text, True)
+    weights = None if ns.untruncated else weight_table(model)
+    text = model_latex(model) if ns.format == "latex" else model_text(model)
+    return True, model_payload(model, weights), text
 
 
-def cmd_verify(ns) -> int:
-    started = time.monotonic()
-    if not (0 <= ns.k <= 11):
-        print("verify supports 0 <= k <= 11", file=sys.stderr)
-        return 2
+def cmd_verify(ns) -> Tuple[bool, dict, str]:
     checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
     if not checks:
-        print("--checks names no check", file=sys.stderr)
-        return 2
+        raise _UsageError("--checks names no check")
     bad = set(checks) - set(ALL_CHECKS)
     if bad:
-        print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
-        return 2
-    action = build_action(ns.k)
-    report = verify_action(action, checks)
-    payload = {"k": ns.k, "checks": report.to_payload()}
+        raise _UsageError(f"unknown checks: {sorted(bad)}")
+    report = verify_action(build_action(ns.k), checks)
+    entries = report.to_payload()
     lines = [f"verify k={ns.k}"]
-    for entry in report.to_payload():
+    for entry in entries:
         lines.append(f"  {entry['check']}: {entry['status']}"
                      + (f" ({len(entry['failures'])} failures)"
                         if entry["failures"] else ""))
-    return _emit(ns, _report(f"verify --k {ns.k}", report.ok, payload,
-                             started), "\n".join(lines), report.ok)
+    return report.ok, {"k": ns.k, "checks": entries}, "\n".join(lines)
 
 
-def cmd_roots(ns) -> int:
-    if ns.k not in FINITE_RANGE:
-        print("roots supports 3 <= k <= 8", file=sys.stderr)
-        return 2
+def cmd_roots(ns) -> Tuple[bool, dict, str]:
     system = positive_roots(ns.k)
     payload = {"k": ns.k, "count": system.count,
                "positive": [list(r) for r in system.positive]}
     lines = [f"k={ns.k}: {system.count} positive roots"]
     lines.extend("  " + " ".join(map(str, r)) for r in system.positive)
-    return _emit(ns, payload, "\n".join(lines), True)
+    return True, payload, "\n".join(lines)
 
 
-def cmd_parabolic(ns) -> int:
-    if ns.k not in FINITE_RANGE:
-        print("parabolic supports 3 <= k <= 8", file=sys.stderr)
-        return 2
+def cmd_parabolic(ns) -> Tuple[bool, dict, str]:
     split = parabolic_split(ns.k)
     payload = {"m": split.dim_levi_semisimple, "a": split.dim_abelian,
                "n": split.dim_nilradical, "total": split.dim_total}
     text = (f"k={ns.k}: m={payload['m']} a={payload['a']} "
             f"n={payload['n']} total={payload['total']}")
-    return _emit(ns, payload, text, True)
+    return True, payload, text
 
 
-def cmd_derivations(ns) -> int:
-    if ns.k < 0:
-        print("derivations needs k >= 0", file=sys.stderr)
-        return 2
+def cmd_derivations(ns) -> Tuple[bool, dict, str]:
     if ns.mode == "full" and ns.k > 1:
-        print("derivations: full mode supports k <= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("derivations: full mode supports k <= 1")
     model = toroidify(model_s4(), ns.k)
     basis = derivation_basis(model, ns.mode)
-    payload = {"dimension": basis.dimension}
-    return _emit(ns, payload,
-                 f"dim Der({model.label}, {ns.mode}) = {basis.dimension}",
-                 True)
+    return (True, {"dimension": basis.dimension},
+            f"dim Der({model.label}, {ns.mode}) = {basis.dimension}")
 
 
-def cmd_adjunction_demo(ns) -> int:
+def cmd_adjunction_demo(ns) -> Tuple[bool, dict, str]:
     import random
-    started = time.monotonic()
-    if ns.k < 1 or ns.k > 3:
-        print("adjunction-demo supports 1 <= k <= 3", file=sys.stderr)
-        return 2
     if ns.samples < 1:
-        print("adjunction-demo needs --samples >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("adjunction-demo needs --samples >= 1")
     rng = random.Random(ns.seed)
-    m = model_s4()
-    trd = toroidify(m, ns.k, truncated=False)
+    trd = toroidify(model_s4(), ns.k, truncated=False)
     results: List[dict] = []
     ok = True
     samples = [Fraction(1)] + [
@@ -262,22 +153,18 @@ def cmd_adjunction_demo(ns) -> int:
                         "round_trip": round_trip, "chain": chain,
                         "hom0_correspondence": corr})
         ok = ok and round_trip and chain and corr
-    payload = {"k": ns.k, "samples": results}
     lines = [f"adjunction demo k={ns.k}: {'pass' if ok else 'FAIL'}"]
     lines.extend(f"  sample {r['sample']} scale={r['scale']}: "
                  f"round_trip={r['round_trip']} chain={r['chain']} "
                  f"hom0={r['hom0_correspondence']}" for r in results)
-    return _emit(ns, _report(f"adjunction-demo --k {ns.k} --seed {ns.seed}",
-                             ok, payload, started), "\n".join(lines), ok)
+    return ok, {"k": ns.k, "samples": results}, "\n".join(lines)
 
 
-def cmd_table1(ns) -> int:
-    started = time.monotonic()
-    if ns.kmin < 0 or ns.kmax > 11 or ns.kmin > ns.kmax:
-        print("table1 supports 0 <= kmin <= kmax <= 11", file=sys.stderr)
-        return 2
+def cmd_table1(ns) -> Tuple[bool, dict, str]:
+    if not VERIFY_RANKS.start <= ns.kmin <= ns.kmax <= VERIFY_RANKS[-1]:
+        raise _UsageError(f"table1 supports {VERIFY_RANKS.start} <= kmin "
+                          f"<= kmax <= {VERIFY_RANKS[-1]}")
     rows = []
-    ok = True
     for k in range(ns.kmin, ns.kmax + 1):
         row: Dict[str, object] = {"k": k}
         model = toroidify(model_s4(), k)
@@ -287,19 +174,15 @@ def cmd_table1(ns) -> int:
             row["cartan_matrix"] = [list(r) for r in C.entries]
             row["det"] = C.det()
         if k in FINITE_RANGE:
-            system = positive_roots(k)
             split = parabolic_split(k)
-            row["positive_roots"] = system.count
+            row["positive_roots"] = positive_roots(k).count
             row["levi"] = split.dim_levi_semisimple
             row["abelian"] = split.dim_abelian
             row["nilradical"] = split.dim_nilradical
         if k <= 8:
-            action = build_action(k, model)
-            verified = verify_action(action).ok
-            row["verified"] = verified
-            ok = ok and verified
+            row["verified"] = verify_action(build_action(k, model)).ok
         rows.append(row)
-    payload = {"rows": rows}
+    ok = all(row.get("verified", True) for row in rows)
     lines = []
     for row in rows:
         bits = [f"k={row['k']}", f"gens={row['model_generators']}"]
@@ -312,32 +195,98 @@ def cmd_table1(ns) -> int:
         if "verified" in row:
             bits.append("verify=" + ("pass" if row["verified"] else "FAIL"))
         lines.append("  ".join(bits))
-    return _emit(ns, _report(
-        f"table1 --kmin {ns.kmin} --kmax {ns.kmax}", ok, payload, started),
-        "\n".join(lines), ok)
+    return ok, {"rows": rows}, "\n".join(lines)
 
 
-_DISPATCH = {
-    "model": cmd_model,
-    "verify": cmd_verify,
-    "roots": cmd_roots,
-    "parabolic": cmd_parabolic,
-    "derivations": cmd_derivations,
-    "adjunction-demo": cmd_adjunction_demo,
-    "table1": cmd_table1,
+class _Verb(NamedTuple):
+    """The --k values a verb accepts (None: no guard), its envelope command
+    template (None: bare payload) and its own (flag, add_argument keywords)."""
+    run: Callable[[argparse.Namespace], Tuple[bool, dict, str]]
+    help: str
+    ranks: Optional[range]
+    command: Optional[str]
+    options: Tuple[Tuple[str, dict], ...]
+    formats: Tuple[str, ...] = ("json", "text")
+
+
+_K = ("--k", {"type": int, "required": True})
+
+VERBS: Dict[str, _Verb] = {
+    "model": _Verb(
+        cmd_model, "build and print a model", range(MAX_RANK + 1),
+        "model --k {k}",
+        (_K, ("--space", {"choices": ["sphere", "loop", "cyclic", "torus"],
+                          "default": "torus"}),
+         ("--untruncated", {"action": "store_true"})),
+        ("json", "text", "latex")),
+    "verify": _Verb(
+        cmd_verify, "run the relation checks for one rank", VERIFY_RANKS,
+        "verify --k {k}", (_K, ("--checks",
+                                {"default": ",".join(ALL_CHECKS)}))),
+    "roots": _Verb(cmd_roots, "positive roots for 3 <= k <= 8", FINITE_RANGE,
+                   None, (_K,)),
+    "parabolic": _Verb(cmd_parabolic, "Langlands dimension split",
+                       FINITE_RANGE, None, (_K,)),
+    "derivations": _Verb(
+        cmd_derivations, "dimension of the derivation space", VERIFY_RANKS,
+        None, (_K, ("--mode", {"choices": ["linear", "full"],
+                               "default": "linear"}))),
+    "adjunction-demo": _Verb(
+        cmd_adjunction_demo, "round-trip and truncation correspondence demo",
+        range(1, 4), "adjunction-demo --k {k} --seed {seed}",
+        (("--k", {"type": int, "default": 1}),
+         ("--seed", {"type": int, "default": 0}),
+         ("--samples", {"type": int, "default": 10}))),
+    "table1": _Verb(
+        cmd_table1, "summary table over a range of ranks", None,
+        "table1 --kmin {kmin} --kmax {kmax}",
+        (("--kmin", {"type": int, "default": 0}),
+         ("--kmax", {"type": int, "default": 8}))),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(
+        prog="ekk",
+        description="Exact models of loop-space quotients of the 4-sphere "
+                    "and their split Lie algebra symmetries.")
+    sub = p.add_subparsers(dest="verb", required=True)
+    for name, verb in VERBS.items():
+        sp = sub.add_parser(name, help=verb.help)
+        for flag, kwargs in verb.options:
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--format", choices=verb.formats, default="text")
+        sp.add_argument("--out")
+    return p
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.out:
-        problem = _out_problem(ns.out)
-        if problem is not None:
-            print(f"cannot write --out: {problem}", file=sys.stderr)
-            return 2
+    ns = build_parser().parse_args(argv)
+    verb = VERBS[ns.verb]
     try:
-        return _DISPATCH[ns.verb](ns)
+        if ns.out:
+            _write_out(ns.out)
+        if verb.ranks is not None and ns.k not in verb.ranks:
+            raise _UsageError(f"{ns.verb} supports {verb.ranks.start} "
+                              f"<= k <= {verb.ranks[-1]}")
+        started = time.monotonic()
+        ok, payload, text = verb.run(ns)
+        if verb.command is not None:
+            payload = {
+                "command": verb.command.format(**vars(ns)),
+                "status": "pass" if ok else "fail",
+                "payload": payload,
+                "wall_ms": round((time.monotonic() - started) * 1000, 3),
+            }
+        body = dump_json(payload) if ns.format == "json" else text
+        if ns.out:
+            _write_out(ns.out, body)
+        else:
+            print(body)
+        return 0 if ok else 1
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

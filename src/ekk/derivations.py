@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .algebra import Element, Generator, Monomial, Scalar, monomial_product
+from .algebra import (Element, Generator, Monomial, Scalar, UniverseError,
+                      monomial_product)
 from .dgca import CheckReport, Dgca, Failure, s_derivation_images
 
 __all__ = [
@@ -36,7 +37,7 @@ class Derivation:
     __slots__ = ("degree", "images", "model", "name", "diagonal", "linear")
 
     def __init__(self, degree: int, images: Dict[Generator, Element],
-                 model: Optional[Dgca] = None, name: str = ""):
+                 model: Dgca, name: str = ""):
         self.degree = degree
         self.images = {g: img for g, img in images.items() if not img.is_zero}
         self.model = model
@@ -146,10 +147,14 @@ class Derivation:
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.degree != other.degree:
             raise ValueError("cannot add derivations of different degree")
+        if other.model is not self.model and \
+                other.model.generator_set != self.model.generator_set:
+            raise UniverseError(f"cannot add derivations of {self.model.label}"
+                                f" and {other.model.label}")
         images = dict(self.images)
         for g, img in other.images.items():
             images[g] = images.get(g, Element.zero()) + img
-        return Derivation(self.degree, images, self.model or other.model)
+        return Derivation(self.degree, images, self.model)
 
     def __rmul__(self, c) -> "Derivation":
         return Derivation(self.degree,
@@ -201,9 +206,7 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     When both operands are linear, each image is composed term by term from
     the operands' images, without `apply`.
     """
-    model = d1.model or d2.model
-    if model is None:
-        raise ValueError("bracket needs a model to enumerate generators")
+    model = d1.model
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
     im1, im2 = d1.images, d2.images
     moved = set()
@@ -271,8 +274,6 @@ def differential_residues(D: Derivation
     uses a generator D moves, so only those generators are visited.
     """
     m = D.model
-    if m is None:
-        raise ValueError("derivation carries no model")
     d = m.differential_derivation()
     odd = D.degree & 1
     images = D.images

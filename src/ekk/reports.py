@@ -8,6 +8,7 @@ decorated base generators first and the polynomial w generators last.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -30,19 +31,8 @@ def _latex_name(g: Generator, model: Optional[Dgca]) -> str:
     raw = model.name_of(g) if model is not None else g.name
     if raw.startswith("sw") and raw[2:].isdigit():
         return f"sw_{{{raw[2:]}}}"
-    if raw.startswith("w") and raw[1:].isdigit():
-        return f"w_{{{raw[1:]}}}"
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        i += 1
-        digits = ""
-        while i < len(raw) and raw[i].isdigit():
-            digits += raw[i]
-            i += 1
-        out.append(f"{ch}_{{{digits}}}" if digits else ch)
-    return " ".join(out)
+    return " ".join(f"{ch}_{{{digits}}}" if digits else ch
+                    for ch, digits in re.findall(r"(\D)(\d*)", raw))
 
 
 def _latex_coeff(c: Scalar) -> str:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ekk
+from ekk.adjunction import totalize
 from ekk.cli import main
-from ekk.dgca import model_s4, toroidify
-from ekk.reports import model_from_payload, model_payload
+from ekk.dgca import model_s4, semifree_model, toroidify
+from ekk.reports import _latex_name, model_from_payload, model_payload
 
 
 def run(capsys, *argv):
@@ -155,6 +160,25 @@ def test_model_latex_golden(capsys):
     assert _normalize(out) == _normalize(GOLDEN_RANK3_LATEX)
 
 
+def test_latex_names_of_odd_base_symbols():
+    odd = toroidify(semifree_model(
+        "odd", [("x_1", 1), ("yz", 2), ("a10b2", 3)]), 2)
+    tot = totalize(toroidify(model_s4(), 2, truncated=False), 2).result
+    names = {m.name_of(g): _latex_name(g, m)
+             for m in (odd, tot) for g in m.generators}
+    assert {n: names[n] for n in ["x_1", "yz", "s1yz", "a10b2", "s1s2a10b2",
+                                  "w2", "sw2", "s1s2g7"]} == {
+        "x_1": "x __{1}",
+        "yz": "y z",
+        "s1yz": "s_{1} y z",
+        "a10b2": "a_{10} b_{2}",
+        "s1s2a10b2": "s_{1} s_{2} a_{10} b_{2}",
+        "w2": "w_{2}",
+        "sw2": "sw_{2}",
+        "s1s2g7": "s_{1} s_{2} g_{7}",
+    }
+
+
 def test_cyclic_model_display_names(capsys):
     code, out = run(capsys, "model", "--k", "1", "--space", "cyclic")
     assert code == 0
@@ -256,6 +280,8 @@ def test_verify_payload_schema(capsys):
     ["verify", "--k", "3", "--jobs", "2"],
     ["table1", "--kmin", "5", "--kmax", "3"],
     ["adjunction-demo", "--k", "4"],
+    ["derivations", "--k", "65"],
+    ["derivations", "--k", "12"],
 ])
 def test_model_bad_input_one_line_exit_two(capsys, argv):
     try:
@@ -271,7 +297,7 @@ def test_model_bad_input_one_line_exit_two(capsys, argv):
 
 def test_derivations_negative_rank_message(capsys):
     assert main(["derivations", "--k", "-1"]) == 2
-    assert capsys.readouterr().err == "derivations needs k >= 0\n"
+    assert capsys.readouterr().err == "derivations supports 0 <= k <= 11\n"
 
 
 # stdout of each command, captured before the model constructors were merged,
@@ -287,6 +313,28 @@ def test_cli_output_matches_golden_capture(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert _WALL_MS.sub("", out) == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI,
+                         ids=[" ".join(c["argv"]) for c in GOLDEN_CLI])
+def test_cli_out_file_matches_golden_capture(tmp_path, capsys, case):
+    path = tmp_path / "out.txt"
+    code = main(case["argv"] + ["--out", str(path)])
+    assert code == case["exit"]
+    assert capsys.readouterr().out == ""
+    assert _WALL_MS.sub("", path.read_text()) == case["stdout"]
+
+
+def test_python_m_ekk_prints_bare_payload():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ekk.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "ekk", "parabolic", "--k", "8",
+         "--format", "json"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"m": 63, "a": 1, "n": 92, "total": 248}
+    assert done.stderr == ""
 
 
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):

@@ -206,3 +206,11 @@ def test_nullspace_randomized_oracle():
         assert sparse_rank(rows) + len(basis) == n_cols
         # basis vectors are independent
         assert sparse_rank(basis) == len(basis)
+
+
+def test_sum_of_derivations_of_different_models_raises():
+    with pytest.raises(UniverseError, match="T\\^3.*T\\^4"):
+        build_action(3).e[1] + build_action(4).e[4]
+    # two builds of one model have the same generators and still add
+    assert build_action(3).e[1] + build_action(3).e[1] == \
+        2 * build_action(3).e[1]
