@@ -15,8 +15,7 @@ from .cartan import (CartanData, CartanMatrix, ParabolicSplit, RootSystem,
 from .action import (ChevalleyAction, VerifyReport, build_action,
                      gravity_line_rank, h_derivation, monomial_weight,
                      torus_automorphism, verify_action, weight_of)
-from .adjunction import (AdjunctionPair, Totalization, adjunction_pair,
-                         factors_through_truncation, hom_backward,
+from .adjunction import (factors_through_truncation, hom_backward,
                          hom_forward, totalize, truncated_correspondence)
 
 __version__ = "0.1.0"

@@ -187,6 +187,15 @@ class ChevalleyAction:
                 for j in range(self.k + 1)]
 
 
+def _rank_k_model(k: int, model: Optional[Dgca]) -> Dgca:
+    """The given model, which must have rank k, or the rank-k torus model."""
+    if model is None:
+        return toroidify(model_s4(), k)
+    if model.k != k:
+        raise ValueError(f"{model.label} has rank {model.k}, not {k}")
+    return model
+
+
 def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
     """Construct the action on the rank-k torus model of the 4-sphere.
 
@@ -195,8 +204,7 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
     """
     if k < 0:
         raise ValueError(f"rank must be >= 0, got {k}")
-    if model is None:
-        model = toroidify(model_s4(), k)
+    model = _rank_k_model(k, model)
     e: Dict[int, Derivation] = {}
     f: Dict[int, Derivation] = {}
     for i in range(1, k):
@@ -342,6 +350,7 @@ def verify_action(a: ChevalleyAction,
                 yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 
     def serre_cases():
+        # below rank 3 there is at most one simple root, so no pair i != j
         C = cartan_matrix(a.k) if a.k >= 3 else None
         for ops in (a.e, a.f):
             idxs = sorted(ops)
@@ -349,7 +358,7 @@ def verify_action(a: ChevalleyAction,
                 for j in idxs:
                     if i == j:
                         continue
-                    c_ij = C[i, j] if C is not None else 0
+                    c_ij = C[i, j]
                     acc = ops[j]
                     for _ in range(1 - c_ij):
                         acc = bracket(ops[i], acc)
@@ -413,8 +422,7 @@ def torus_automorphism(t: Sequence, k: int,
         raise ValueError(f"torus element needs {k + 1} components")
     if any(c == 0 for c in t):
         raise ValueError("torus components must be nonzero")
-    if model is None:
-        model = toroidify(model_s4(), k)
+    model = _rank_k_model(k, model)
     images: Dict[Generator, Element] = {}
     for g in model.generators:
         c = Fraction(1)

@@ -21,18 +21,14 @@ killing the non-positive-degree decorated generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, Scalar, s_bits_of
+from .action import torus_automorphism
+from .algebra import Element, Generator, Scalar
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, hom0_check,
                    toroidify)
 
 __all__ = [
-    "Totalization",
-    "AdjunctionPair",
-    "adjunction_pair",
     "totalize",
     "hom_backward",
     "hom_forward",
@@ -42,16 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Totalization:
-    """An algebra over Q[w] together with its Koszul-extended form."""
-
-    base: Dgca
-    result: Dgca
-    k: int
-
-
-def totalize(n: Dgca, k: int) -> Totalization:
+def totalize(n: Dgca, k: int) -> Dgca:
     """Adjoin sw_1..sw_k with d(sw_i) = w_i; other differentials unchanged."""
     for i in range(1, k + 1):
         w = Generator.w(i)
@@ -64,39 +51,8 @@ def totalize(n: Dgca, k: int) -> Totalization:
     diff = dict(n.diff)
     for i, g in enumerate(sw, start=1):
         diff[g] = Element.gen(Generator.w(i))
-    result = Dgca(f"Tot({n.label})", n.k if n.k >= k else k, gens, diff,
-                  display=n.display, truncated=n.truncated,
-                  totalization_of=n)
-    return Totalization(n, result, k)
-
-
-@dataclass
-class AdjunctionPair:
-    m: Dgca
-    n: Dgca
-    forward: DgcaHom   # untruncated torus model of m -> n
-    backward: DgcaHom  # m -> Tot(n)
-
-
-def adjunction_pair(F: DgcaHom) -> AdjunctionPair:
-    """Package a map over Q[w] with its partner into the totalization.
-
-    Checks that the two really correspond (forward of backward returns F on
-    every generator); both sides being chain maps whenever F is one is part
-    of the correspondence and is asserted by callers that need it.
-    """
-    backward = hom_backward(F)
-    again = hom_forward(backward, F.source)
-    for g in F.source.generators:
-        if F.images[g] != again.images[g]:
-            raise AssertionError(
-                f"correspondence failed to invert on {g.name}")
-    return AdjunctionPair(_require_untruncated_torus(F.source), F.target,
-                          F, backward)
-
-
-def _sw_monomial(indices: Tuple[int, ...]) -> Monomial:
-    return tuple((Generator.sw(i), 1) for i in indices)
+    return Dgca(f"Tot({n.label})", n.k if n.k >= k else k, gens, diff,
+                display=n.display, truncated=n.truncated, totalization_of=n)
 
 
 def _pairing_sign(p: int, d: int) -> int:
@@ -114,33 +70,34 @@ def _require_untruncated_torus(model: Dgca) -> Dgca:
 def hom_backward(F: DgcaHom) -> DgcaHom:
     """Turn F out of the untruncated torus model into f into the totalization.
 
-    Requires F to fix every w_i (a map of algebras over Q[w]).
+    Requires F to fix every w_i (a map of algebras over Q[w]).  The torus
+    model's other generators are exactly the words s_I v.
     """
     trd = F.source
     m = _require_untruncated_torus(trd)
-    k = trd.k
-    for i in range(1, k + 1):
+    for i in range(1, trd.k + 1):
         w = Generator.w(i)
         if F.images[w] != Element.gen(w):
             raise ValueError(f"F does not fix w{i}; not a map over Q[w]")
-    tot = totalize(F.target, k).result
-    images: Dict[Generator, Element] = {}
-    for v in m.generators:
-        acc = Element.zero()
-        for p in range(k + 1):
-            sign = _pairing_sign(p, v.degree)
-            for combo in combinations(range(1, k + 1), p):
-                dec = Generator.decorated(v.base, v.base_pos, v.base_degree,
-                                          s_bits_of(combo))
-                term = F.images[dec] * Element.monomial(_sw_monomial(combo),
-                                                        sign)
-                acc = acc + term
-        images[v] = acc
-    return DgcaHom(m, tot, images, name=f"bwd({F.name})")
+    images = dict.fromkeys(m.generators, Element.zero())
+    for g in trd.generators:
+        if g.is_w:
+            continue
+        v = m.generator(g.base)
+        idx = g.s_indices
+        sw_word = tuple((Generator.sw(i), 1) for i in idx)
+        images[v] = images[v] + F.images[g] * Element.monomial(
+            sw_word, _pairing_sign(len(idx), v.degree))
+    return DgcaHom(m, totalize(F.target, trd.k), images,
+                   name=f"bwd({F.name})")
 
 
 def hom_forward(f: DgcaHom, trd: Optional[Dgca] = None) -> DgcaHom:
-    """Turn f into a totalization into F out of the untruncated torus model."""
+    """Turn f into a totalization into F out of the untruncated torus model.
+
+    `trd`, built when omitted, is the untruncated torus model of f's source
+    whose rank is the number of sw generators of f's target.
+    """
     m = f.source
     tot = f.target
     n = tot.totalization_of
@@ -149,13 +106,14 @@ def hom_forward(f: DgcaHom, trd: Optional[Dgca] = None) -> DgcaHom:
     k = sum(1 for g in tot.generators if g.is_sw)
     if trd is None:
         trd = toroidify(m, k, truncated=False)
-    images: Dict[Generator, Element] = {}
-    for i in range(1, k + 1):
-        w = Generator.w(i)
-        images[w] = Element.gen(w)
+    elif _require_untruncated_torus(trd).generator_set != m.generator_set:
+        raise ValueError(f"{trd.label} is not a torus model of {m.label}")
+    elif trd.k != k:
+        raise ValueError(f"{trd.label} has rank {trd.k}, but {tot.label} "
+                         f"has {k} sw generators")
     # split each image monomial into its sw part and the rest; pulling the
     # sw word out to the right costs the parity of the remaining factors
-    per_gen: Dict[Generator, Dict[Tuple[int, ...], Element]] = {}
+    per_base: Dict[str, Dict[Tuple[int, ...], Element]] = {}
     for v in m.generators:
         coeffs: Dict[Tuple[int, ...], Element] = {}
         for mono, c in f.images[v].items():
@@ -166,15 +124,14 @@ def hom_forward(f: DgcaHom, trd: Optional[Dgca] = None) -> DgcaHom:
                 c = -c
             coeffs[sw_idx] = coeffs.get(sw_idx, Element.zero()) + \
                 Element.monomial(rest, c)
-        per_gen[v] = coeffs
-    base_pos = {g.base: (g.base_pos, g.base_degree) for g in m.generators}
+        per_base[v.base] = coeffs
+    images: Dict[Generator, Element] = {}
     for g in trd.generators:
         if g.is_w:
+            images[g] = Element.gen(g)
             continue
-        pos, deg = base_pos[g.base]
-        v = Generator.decorated(g.base, pos, deg)
-        img = per_gen[v].get(g.s_indices, Element.zero())
-        if _pairing_sign(len(g.s_indices), deg) < 0:
+        img = per_base[g.base].get(g.s_indices, Element.zero())
+        if _pairing_sign(len(g.s_indices), g.base_degree) < 0:
             img = -img
         images[g] = img
     return DgcaHom(trd, n, images, name=f"fwd({f.name})")
@@ -203,13 +160,10 @@ def truncated_correspondence(Fs: Iterable[DgcaHom]) -> CheckReport:
 
 
 def scaling_endo(trd: Dgca, a: Scalar) -> DgcaHom:
-    """Map over Q[w] scaling the g4 family by a and the g7 family by a^2."""
-    images = {}
-    for g in trd.generators:
-        if g.is_w:
-            images[g] = Element.gen(g)
-        elif g.base == "g4":
-            images[g] = Element.gen(g, a)
-        else:
-            images[g] = Element.gen(g, a * a)
-    return DgcaHom(trd, trd, images, name=f"scale({a})")
+    """The split torus element (a, 1, .., 1) acting on a torus model over Q[w].
+
+    It scales the g4 family by a and the g7 family by a^2 and fixes the w's.
+    """
+    h = torus_automorphism((a,) + (1,) * trd.k, trd.k, trd)
+    h.name = f"scale({a})"
+    return h

@@ -42,15 +42,11 @@ def eps_on_h(eps: Sequence[int], h: Sequence[int]):
     """Pair a covector in eps-coordinates with a vector in h-coordinates.
 
     eps_0(h_0) = -1 and eps_i(h_i) = +1 for i >= 1, everything else zero.
+    Read on two covectors, it is their Minkowski inner product.
     """
     if len(eps) != len(h):
         raise ValueError("coordinate length mismatch")
     return -eps[0] * h[0] + sum(e * a for e, a in zip(eps[1:], h[1:]))
-
-
-def eps_inner(a: Sequence[int], b: Sequence[int]):
-    """Minkowski inner product of two covectors in eps-coordinates."""
-    return -a[0] * b[0] + sum(x * y for x, y in zip(a[1:], b[1:]))
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ def _validate_roots(system: RootSystem) -> None:
         for m, alpha in zip(root, data.simple_roots):
             for idx, c in enumerate(alpha):
                 eps_vec[idx] += m * c
-        if eps_inner(eps_vec, eps_vec) != 2:
+        if eps_on_h(eps_vec, eps_vec) != 2:
             raise AssertionError(
                 f"root {root} has squared length != 2 at k={system.k}")
 

@@ -131,6 +131,11 @@ def test_unknown_check_rejected():
         verify_action(build_action(2), checks=("chain", "bogus"))
 
 
+def test_build_action_rejects_a_model_of_another_rank():
+    with pytest.raises(ValueError, match="rank 4, not 3"):
+        build_action(3, toroidify(S4, 4))
+
+
 # -- split torus --------------------------------------------------------------
 
 def test_torus_scaling_example():
@@ -154,6 +159,14 @@ def test_torus_identity():
 def test_torus_rejects_zero_component():
     with pytest.raises(ValueError):
         torus_automorphism((1, 0, 1), 2)
+
+
+def test_torus_rejects_a_model_of_another_rank():
+    with pytest.raises(ValueError, match="rank 4, not 3"):
+        torus_automorphism((2, 1, 1, 1), 3, toroidify(S4, 4))
+    # t_4 has no generator of T^3 to act on; it must not be dropped
+    with pytest.raises(ValueError, match="rank 3, not 4"):
+        torus_automorphism((1, 1, 1, 1, 5), 4, toroidify(S4, 3))
 
 
 def _random_torus(rng, k):

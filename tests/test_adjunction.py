@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from ekk.algebra import Element, Generator
-from ekk.adjunction import (adjunction_pair, factors_through_truncation,
-                            hom_backward, hom_forward, scaling_endo,
-                            totalize, truncated_correspondence)
-from ekk.dgca import (DgcaHom, d_squared_zero, hom0_check, is_chain_map,
-                      model_over_w, model_s4, semifree_model, toroidify)
+from ekk.adjunction import (factors_through_truncation, hom_backward,
+                            hom_forward, scaling_endo, totalize,
+                            truncated_correspondence)
+from ekk.dgca import (Dgca, DgcaHom, d_squared_zero, hom0_check,
+                      is_chain_map, model_over_w, model_s4, semifree_model,
+                      toroidify)
 
 from _golden import E
 
@@ -29,17 +30,27 @@ def identity_endo(model, name="id"):
 def test_totalize_pure_polynomial():
     n = model_over_w("W", 1, [])
     tot = totalize(n, 1)
-    sw1 = tot.result.generator("sw1")
-    assert tot.result.diff[sw1] == E(tot.result, (1, ["w1"]))
-    assert d_squared_zero(tot.result).ok
+    sw1 = tot.generator("sw1")
+    assert tot.diff[sw1] == E(tot, (1, ["w1"]))
+    assert d_squared_zero(tot).ok
     # the degree-2 class becomes exact on the nose
-    assert tot.result.diff[sw1] == Element.gen(Generator.w(1))
+    assert tot.diff[sw1] == Element.gen(Generator.w(1))
 
 
 def test_totalize_untruncated_torus_model():
     n = toroidify(S4, 1, truncated=False)
     tot = totalize(n, 1)
-    assert d_squared_zero(tot.result).ok
+    assert d_squared_zero(tot).ok
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_totalize_returns_the_model(k):
+    n = toroidify(S4, k, truncated=False)
+    tot = totalize(n, k)
+    assert isinstance(tot, Dgca)
+    assert tot.totalization_of is n
+    assert [g.name for g in tot.generators if g.is_sw] == \
+        [f"sw{i}" for i in range(1, k + 1)]
 
 
 def test_totalize_requires_closed_w():
@@ -91,7 +102,7 @@ def test_non_chain_input_is_detected():
     # the forward transform it induces
     k = 1
     n = toroidify(S4, k, truncated=False)
-    tot = totalize(n, k).result
+    tot = totalize(n, k)
     f = DgcaHom(S4, tot, {
         S4.generator("g4"): tot.gen_element("g4"),
         S4.generator("g7"): tot.gen_element("g7"),
@@ -150,6 +161,8 @@ def test_seeded_sample_pairs(k):
         assert is_chain_map(F).ok
         f = hom_backward(F)
         assert is_chain_map(f).ok
+        assert f.source.label == "S4"
+        assert f.target.totalization_of is F.target
         F2 = hom_forward(f, trd)
         assert all(F.images[g] == F2.images[g] for g in trd.generators)
         assert truncated_correspondence([F]).ok
@@ -193,10 +206,39 @@ def test_forward_of_sampled_chain_maps_is_chain():
         assert is_chain_map(F).ok
 
 
-def test_adjunction_pair_packaging():
-    trd = toroidify(S4, 2, truncated=False)
-    pair = adjunction_pair(scaling_endo(trd, Fraction(7, 3)))
-    assert pair.m.label == "S4"
-    assert is_chain_map(pair.forward).ok
-    assert is_chain_map(pair.backward).ok
-    assert pair.backward.target.totalization_of is pair.n
+# scaling_endo written out per generator: the power of a that multiplies it
+# (w fixed, the g4 family times a, the g7 family times a^2)
+SCALING_IMAGES = {
+    1: {"w1": 0, "g4": 1, "s1g4": 1, "g7": 2, "s1g7": 2},
+    2: {"w1": 0, "w2": 0, "g4": 1, "s1g4": 1, "s2g4": 1, "s1s2g4": 1,
+        "g7": 2, "s1g7": 2, "s2g7": 2, "s1s2g7": 2},
+    3: {"w1": 0, "w2": 0, "w3": 0,
+        "g4": 1, "s1g4": 1, "s2g4": 1, "s3g4": 1, "s1s2g4": 1,
+        "s1s3g4": 1, "s2s3g4": 1, "s1s2s3g4": 1,
+        "g7": 2, "s1g7": 2, "s2g7": 2, "s3g7": 2, "s1s2g7": 2,
+        "s1s3g7": 2, "s2s3g7": 2, "s1s2s3g7": 2},
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(7, 3)])
+def test_scaling_endo_scales_each_family(k, a):
+    trd = toroidify(S4, k, truncated=False)
+    F = scaling_endo(trd, a)
+    assert F.source is trd and F.target is trd
+    assert F.name == f"scale({a})"
+    assert {g.name: F.images[g] for g in trd.generators} == {
+        name: E(trd, (a ** p, [name]))
+        for name, p in SCALING_IMAGES[k].items()}
+
+
+def test_forward_rejects_a_torus_model_that_does_not_match():
+    f = hom_backward(scaling_endo(toroidify(S4, 2, truncated=False), 3))
+    with pytest.raises(ValueError, match="rank 1.*2 sw generators"):
+        hom_forward(f, toroidify(model_s4(), 1, truncated=False))
+    other = toroidify(semifree_model("X", [("x", 1)], {}), 2,
+                      truncated=False)
+    with pytest.raises(ValueError, match="not a torus model of S4"):
+        hom_forward(f, other)
+    with pytest.raises(ValueError, match="not an untruncated"):
+        hom_forward(f, toroidify(model_s4(), 2))

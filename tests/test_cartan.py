@@ -137,14 +137,13 @@ def test_cartan_data_requires_rank_three():
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_every_root_has_squared_length_two(k):
-    from ekk.cartan import eps_inner
     data = cartan_data(k)
     for root in positive_roots(k).positive:
         eps_vec = [0] * (k + 1)
         for m, alpha in zip(root, data.simple_roots):
             for idx, c in enumerate(alpha):
                 eps_vec[idx] += m * c
-        assert eps_inner(eps_vec, eps_vec) == 2
+        assert eps_on_h(eps_vec, eps_vec) == 2
 
 
 @pytest.mark.parametrize("k", range(3, 9))

@@ -163,7 +163,7 @@ def test_model_latex_golden(capsys):
 def test_latex_names_of_odd_base_symbols():
     odd = toroidify(semifree_model(
         "odd", [("x_1", 1), ("yz", 2), ("a10b2", 3)]), 2)
-    tot = totalize(toroidify(model_s4(), 2, truncated=False), 2).result
+    tot = totalize(toroidify(model_s4(), 2, truncated=False), 2)
     names = {m.name_of(g): _latex_name(g, m)
              for m in (odd, tot) for g in m.generators}
     assert {n: names[n] for n in ["x_1", "yz", "s1yz", "a10b2", "s1s2a10b2",

@@ -253,7 +253,7 @@ def test_chain_map_identity_and_negative():
 def test_hom0_check_examples():
     k = 4
     n = toroidify(S4, k, truncated=False)
-    tot = totalize(n, k).result
+    tot = totalize(n, k)
     zero_map = DgcaHom(S4, tot, {g: Element.zero() for g in S4.generators})
     assert hom0_check(zero_map)
     # g4 -> sw1 sw2 sw3 sw4 violates the positivity condition by construction
