@@ -80,9 +80,10 @@ def cmd_model(ns) -> Tuple[bool, dict, str]:
     if fixed_rank is not None and ns.k != fixed_rank:
         raise _UsageError(f"--space {ns.space} needs --k {fixed_rank}")
     model = _build_space(ns)
-    weights = None if ns.untruncated else weight_table(model)
-    text = model_latex(model) if ns.format == "latex" else model_text(model)
-    return True, model_payload(model, weights), text
+    if ns.format == "json":
+        weights = None if ns.untruncated else weight_table(model)
+        return True, model_payload(model, weights), ""
+    return True, {}, (model_latex if ns.format == "latex" else model_text)(model)
 
 
 def cmd_verify(ns) -> Tuple[bool, dict, str]:

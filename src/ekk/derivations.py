@@ -9,11 +9,12 @@ generator images.  `derivation_basis` computes the exact nullspace of the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .algebra import (Element, Generator, Monomial, Scalar, UniverseError,
-                      monomial_product)
+                      _acc, _q, monomial_degree, monomial_product)
 from .dgca import CheckReport, Dgca, Failure, s_derivation_images
 
 __all__ = [
@@ -302,11 +303,10 @@ def commutes_with_differential(D: Derivation) -> CheckReport:
 class DerivationSpaceBasis:
     """Basis of the degree-zero derivations commuting with the differential."""
 
-    __slots__ = ("mode", "degree", "basis", "dimension")
+    __slots__ = ("mode", "basis", "dimension")
 
     def __init__(self, mode: str, basis: List[Derivation]):
         self.mode = mode
-        self.degree = 0
         self.basis = basis
         self.dimension = len(basis)
 
@@ -319,53 +319,80 @@ class DerivationSpaceBasis:
 # ---------------------------------------------------------------------------
 
 def _eliminate(rows: Iterable[Dict[int, Scalar]]
-               ) -> Dict[int, Dict[int, Fraction]]:
-    """Row-reduce sparse rows to pivot rows keyed by their leading column.
+               ) -> Dict[int, Dict[int, int]]:
+    """Row-reduce sparse rows to integer pivot rows keyed by leading column.
 
-    Each pivot row is scaled by Fraction(1) / its leading entry, so int
-    input stays exact rational and never turns into floats.
+    Fraction-free, after Bareiss: each incoming row, and each new pivot, is
+    scaled to coprime integers with a positive leading entry, explicit
+    zeros dropped.  A row whose leading entry `factor` meets a pivot led by
+    `lead` becomes (lead/g) row - (factor/g) pivot, g = gcd(lead, factor),
+    so no entry ever leaves the integers.
     """
-    pivots: Dict[int, Dict[int, Fraction]] = {}
+    pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
+        row = _primitive(row)
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
+                pivots[col] = _primitive(row)
                 break
-            factor = row[col]
+            factor, lead = row[col], piv[col]
+            if lead != 1:
+                g = gcd(lead, factor)
+                factor, lead = factor // g, lead // g
+                if lead != 1:
+                    row = {c: v * lead for c, v in row.items()}
             for c, v in piv.items():
-                cur = row.get(c)
-                nxt = (cur if cur is not None else 0) - factor * v
+                nxt = row.get(c, 0) - factor * v
                 if nxt:
                     row[c] = nxt
-                elif cur is not None:
+                else:  # only an entry of the row can cancel
                     del row[c]
     return pivots
 
 
+def _primitive(row: Dict[int, Scalar]) -> Dict[int, int]:
+    """The nonzero entries of a rational row scaled to coprime integers
+    whose leading entry is positive."""
+    row = {c: v for c, v in row.items() if v}
+    if not row:
+        return row
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in row.items()}
+        g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
 def nullspace(rows: List[Dict[int, Scalar]], n_unknowns: int
-              ) -> List[Dict[int, Fraction]]:
+              ) -> List[Dict[int, Scalar]]:
     """Exact nullspace basis of a sparse rational matrix.
 
     Rows are {column: coefficient} maps.  Returns one sparse vector per free
-    column, echelon style, exact over Q.
+    column: 1 there, 0 at every other free column, and the pivot entries by
+    back-substitution from the last pivot up, each divided once by its
+    pivot's leading entry.  Entries are int where integral, else Fraction.
     """
     pivots = _eliminate(rows)
+    order = sorted(pivots, reverse=True)
     basis = []
     for fc in range(n_unknowns):
         if fc in pivots:
             continue
-        vec = {fc: Fraction(1)}
-        # back-substitute in increasing pivot order from the bottom up
-        for pc in sorted(pivots, reverse=True):
+        vec: Dict[int, Scalar] = {fc: 1}
+        for pc in order:
             piv = pivots[pc]
-            val = sum((vec.get(c, 0) * v for c, v in piv.items()
-                       if c != pc), Fraction(0))
+            val = sum(vec[c] * v for c, v in piv.items() if c in vec)
             if val:
-                vec[pc] = -val
+                vec[pc] = _q(Fraction(-val, piv[pc]))
         basis.append(vec)
     return basis
 
@@ -403,6 +430,53 @@ def _monomials_of_degree(gens: Sequence[Generator], degree: int
             acc.pop()
     rec(0, degree, [])
     return out
+
+
+#: g -> (x, cofactor, c), one per factor g of each term of each d x
+_Partials = Dict[Generator, List[Tuple[Generator, Monomial, Scalar]]]
+
+
+def _partials(m: Dgca) -> _Partials:
+    """The g-partials of every d x, signed as `Derivation.apply` signs a
+    degree-0 operator: minus when g is odd and so is what follows it."""
+    partial: _Partials = {}
+    for x in m.generators:
+        for mono, coeff in m.diff[x].items():
+            suf = monomial_degree(mono)
+            for idx, (g, e) in enumerate(mono):
+                suf -= g.degree * e
+                c = _q(-coeff * e if g.degree & suf & 1 else coeff * e)
+                cof = mono[:idx] + (((g, e - 1),) if e > 1 else ()) \
+                    + mono[idx + 1:]
+                partial.setdefault(g, []).append((x, cof, c))
+    return partial
+
+
+def _residue_rows(m: Dgca, block: Sequence[Tuple[Generator, Monomial]],
+                  partial: _Partials,
+                  d_of: Dict[Monomial, Dict[Monomial, Scalar]]
+                  ) -> Dict[Tuple[Generator, Monomial], Dict[int, Scalar]]:
+    """The commutation system of one block, read straight off d.
+
+    Column i is the unit derivation D = (g -> mono) of block[i]; row (x, n)
+    holds the coefficient of n in [d, D] x = [x = g] d(mono) - D(d x), and
+    D(d x) is the g-partial of d x with mono substituted.  `d_of` caches
+    d(mono) across blocks.  Entries that cancel are dropped.
+    """
+    d = m.differential_derivation()
+    rows: Dict[Tuple[Generator, Monomial], Dict[int, Scalar]] = {}
+    for col, (g, mono) in enumerate(block):
+        dm = d_of.get(mono)
+        if dm is None:
+            dm = d_of[mono] = d.apply(Element.monomial(mono)).terms
+        for n, c in dm.items():
+            _acc(rows.setdefault((g, n), {}), col, c)
+        for x, cof, c in partial.get(g, ()):
+            r = monomial_product(cof, mono)
+            if r is not None:
+                _acc(rows.setdefault((x, r[1]), {}), col,
+                     -c if r[0] > 0 else c)
+    return {key: row for key, row in rows.items() if row}
 
 
 def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
@@ -446,17 +520,11 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
     for g, mono in candidates:
         blocks.setdefault(shift(g, mono), []).append((g, mono))
 
+    partial = _partials(m)
+    d_of: Dict[Monomial, Dict[Monomial, Scalar]] = {}
     basis: List[Derivation] = []
     for _, block in sorted(blocks.items()):
-        index = {(g, mono): col for col, (g, mono) in enumerate(block)}
-        # residual of the unit derivation at each unknown, expanded over
-        # (generator, monomial) rows
-        rows: Dict[Tuple[Generator, Monomial], Dict[int, Scalar]] = {}
-        for (g, mono), col in index.items():
-            unit = Derivation(0, {g: Element.monomial(mono)}, m)
-            for gen, residue in differential_residues(unit):
-                for mres, c in residue.items():
-                    rows.setdefault((gen, mres), {})[col] = c
+        rows = _residue_rows(m, block, partial, d_of)
         vectors = nullspace(list(rows.values()), len(block))
         for vec in vectors:
             images: Dict[Generator, Element] = {}

@@ -12,6 +12,10 @@ int whenever they are integral.  On the model-building side,
 `monomial_product` inserts a one-factor left operand by a single walk,
 `_element_from_names` folds each named term straight into one monomial,
 and the decorated constructors take one decoration step per generator.
+The derivation-space solver reads its rows straight off d, with no unit
+derivation per unknown, and eliminates them fraction-free; the rows are
+checked against unit derivations and the elimination against dense
+Gauss-Jordan over Fraction.
 Each of these is checked here against a plain reference on random input,
 and every coefficient is checked to be exact (int or Fraction, never
 float).
@@ -22,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +37,9 @@ from ekk.algebra import (Element, Generator, UniverseError, monomial_product,
                          parse_generator_name, s_indices_of)
 from ekk.dgca import (_element_from_names, cyclification_model,
                       free_loop_model, model_s4, semifree_model, toroidify)
-from ekk.derivations import (Derivation, bracket, derivation_basis,
+from ekk.derivations import (FULL_MODE_GENERATOR_CAP, Derivation,
+                             _eliminate, _monomials_of_degree, _partials,
+                             _residue_rows, bracket, derivation_basis,
                              differential_residues, nullspace, s_derivation,
                              sparse_rank)
 
@@ -584,3 +591,184 @@ def test_generator_names_parse_back_to_the_generator():
     for g in model.generators:
         assert parse_generator_name(g.name, table) is g
         assert g.s_indices == s_indices_of(g.s_bits)
+
+
+# -- derivation-space solver --------------------------------------------------
+
+def _unknowns(m, mode):
+    """Every candidate (generator, monomial) of `derivation_basis`, as one
+    block in model order."""
+    if mode == "linear":
+        return [(g, ((h, 1),)) for g in m.generators for h in m.generators
+                if h.degree == g.degree]
+    return [(g, mono) for g in m.generators
+            for mono in _monomials_of_degree(m.generators, g.degree)]
+
+
+def _ref_rows(m, block):
+    """The commutation system through one unit derivation per unknown."""
+    rows = {}
+    for col, (g, mono) in enumerate(block):
+        unit = Derivation(0, {g: Element.monomial(mono)}, m)
+        for gen, residue in differential_residues(unit):
+            for n, c in residue.items():
+                rows.setdefault((gen, n), {})[col] = c
+    return rows
+
+
+def _modes(m):
+    full = len(m.generators) <= FULL_MODE_GENERATOR_CAP and \
+        all(g.degree > 0 for g in m.generators)
+    return ("linear", "full") if full else ("linear",)
+
+
+@st.composite
+def semifree_models(draw):
+    """A random semifree model: one to five generators of degree 1 to 4,
+    each d x a random combination of the monomials of degree |x| + 1
+    (squares, odd factors, Fraction coefficients and x itself included;
+    d^2 = 0 is not required)."""
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    base = semifree_model("R", [(f"x{i}", n) for i, n in enumerate(degrees)])
+    diff = {}
+    for g in base.generators:
+        monos = _monomials_of_degree(base.generators, g.degree + 1)
+        img = Element.zero()
+        if monos:
+            for mono in draw(st.lists(st.sampled_from(monos), max_size=4)):
+                img = img + Element.monomial(mono, draw(coefficients))
+        diff[g] = img
+    return base.with_diff(diff)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda k=k: toroidify(model_s4(), k) for k in range(6)),
+    *(lambda k=k: toroidify(model_s4(), k, truncated=False)
+      for k in range(5)),
+    lambda: cyclification_model(model_s4()),
+])
+def test_residue_rows_match_unit_derivations(build):
+    m = build()
+    for mode in _modes(m):
+        block = _unknowns(m, mode)
+        assert _residue_rows(m, block, _partials(m), {}) == \
+            _ref_rows(m, block)
+
+
+@given(semifree_models())
+@settings(max_examples=150, deadline=None)
+def test_residue_rows_match_unit_derivations_on_random_models(m):
+    for mode in _modes(m):
+        block = _unknowns(m, mode)
+        rows = _residue_rows(m, block, _partials(m), {})
+        assert rows == _ref_rows(m, block)
+        for row in rows.values():
+            _assert_exact(row.values())
+        # no weights here: derivation_basis solves the one block above
+        want = _dense_nullspace(list(rows.values()), len(block))
+        got = derivation_basis(m, mode).basis
+        assert len(got) == len(want)
+        for D, vec in zip(got, want):
+            assert D.images == _images(block, vec)
+
+
+def _images(block, vec):
+    """Generator images of the derivation whose unknowns block[col] have
+    the coefficients vec[col]."""
+    images = {}
+    for col, c in vec.items():
+        g, mono = block[col]
+        images[g] = images.get(g, Element.zero()) + Element.monomial(mono, c)
+    return images
+
+
+def _dense_rref(rows, n):
+    """Dense Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(n)] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i, other in enumerate(mat):
+            if i != r and other[c]:
+                mat[i] = [a - other[c] * b for a, b in zip(other, mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def _dense_nullspace(rows, n):
+    """One vector per free column: 1 there, 0 at the other free columns."""
+    reduced, pivots = _dense_rref(rows, n)
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            vec = {fc: 1}
+            vec.update((pc, -row[fc]) for pc, row in zip(pivots, reduced)
+                       if row[fc])
+            basis.append(vec)
+    return basis
+
+
+@st.composite
+def rational_matrices(draw):
+    """Sparse rows with explicit zeros, negative and non-unit leading
+    entries, Fraction entries, duplicate rows and empty rows."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-6, 6), coefficients)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry,
+                                         max_size=n), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [{}] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), n
+
+
+@given(rational_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_dense_gauss_jordan(case):
+    rows, n = case
+    _, pivots = _dense_rref(rows, n)
+    assert set(_eliminate(rows)) == set(pivots)
+    assert sparse_rank(rows) == len(pivots)
+    basis = nullspace(rows, n)
+    assert basis == _dense_nullspace(rows, n)
+    for vec in basis:
+        for c in vec.values():
+            assert c and (type(c) is int or c.denominator != 1), repr(c)
+    for col, piv in _eliminate(rows).items():
+        assert min(piv) == col and piv[col] > 0
+        assert all(type(c) is int and c for c in piv.values())
+        assert gcd(*piv.values()) == 1
+
+
+def test_explicit_zeros_and_empty_rows():
+    assert nullspace([{0: 0, 1: 1}], 2) == [{0: 1}]
+    assert _eliminate([{0: 1, 1: 0}]) == {0: {0: 1}}
+    assert nullspace([{0: 1, 1: 0}], 2) == [{1: 1}]
+    assert nullspace([{}], 2) == [{0: 1}, {1: 1}]
+    assert sparse_rank([{0: 0, 1: Fraction(0)}, {}]) == 0
+
+
+@pytest.mark.parametrize("k,dimension", enumerate([1, 2, 5, 11, 21, 36, 58]))
+def test_linear_derivation_dimensions_of_the_torus_models(k, dimension):
+    """D(T^k) at k = 0..6, the closed form k^2 + 1 + C(k,3) + C(k,6)."""
+    assert derivation_basis(toroidify(model_s4(), k)).dimension == dimension
+
+
+def test_derivation_basis_builds_no_derivation_per_unknown(monkeypatch):
+    m = toroidify(model_s4(), 4)
+    m.differential_derivation()
+    built = []
+    init = Derivation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", counting_init)
+    basis = derivation_basis(m)
+    assert len(built) == basis.dimension == 21
