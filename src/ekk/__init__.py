@@ -9,9 +9,9 @@ from .dgca import (CheckReport, Dgca, DgcaHom, cyclification_model,
 from .derivations import (Derivation, DerivationSpaceBasis, bracket,
                           commutes_with_differential, derivation_basis,
                           s_derivation)
-from .cartan import (CartanData, CartanMatrix, ParabolicSplit, RootSystem,
-                     cartan_data, cartan_matrix, parabolic_split,
-                     positive_roots)
+from .cartan import (CartanMatrix, ParabolicSplit, RootSystem,
+                     cartan_matrix, parabolic_split, positive_roots,
+                     simple_roots)
 from .action import (ChevalleyAction, VerifyReport, build_action,
                      gravity_line_rank, h_derivation, monomial_weight,
                      torus_automorphism, verify_action, weight_of)

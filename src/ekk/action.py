@@ -16,9 +16,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, Monomial, Scalar, element_text,
                       s_indices_of)
-from .cartan import cartan_data, cartan_matrix, eps_on_h
+from .cartan import eps_on_h, simple_roots
 from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
-from .derivations import Derivation, bracket, differential_residues
+from .derivations import (Derivation, bracket, differential_residues,
+                          sparse_rank)
 
 __all__ = [
     "WeightVector",
@@ -65,14 +66,11 @@ def weight_table(model: Dgca) -> Dict[Generator, WeightVector]:
 
 
 def monomial_weight(m: Monomial, k: int,
-                    weights: Optional[Dict[Generator, WeightVector]] = None
-                    ) -> WeightVector:
-    """Sum of the factors' weights, read from the `weight_table` `weights`
-    when given."""
+                    weights: Dict[Generator, WeightVector]) -> WeightVector:
+    """Sum of the factors' weights, read from the `weight_table` `weights`."""
     w = [0] * (k + 1)
     for g, e in m:
-        gw = weights[g] if weights is not None else weight_of(g, k)
-        for idx, c in enumerate(gw):
+        for idx, c in enumerate(weights[g]):
             w[idx] += c * e
     return tuple(w)
 
@@ -173,7 +171,7 @@ class ChevalleyAction:
     model: Dgca
     e: Dict[int, Derivation]
     f: Dict[int, Derivation]
-    coroots: Dict[int, Tuple[int, ...]]
+    #: i -> alpha_i in eps-coordinates; alpha_i's coroot has the same ones
     simple_roots: Dict[int, Tuple[int, ...]]
     #: the model's `weight_table`
     weights: Dict[Generator, WeightVector]
@@ -214,17 +212,8 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
                           name=f"f{i}")
     if k >= 3:
         e[k] = Derivation(0, _e_top_images(model), model, name=f"e{k}")
-        data = cartan_data(k)
-        coroots = {i: data.coroot(i) for i in range(1, k + 1)}
-        roots = {i: data.root(i) for i in range(1, k + 1)}
-    else:
-        coroots = {}
-        roots = {}
-        if k == 2:
-            # single simple root eps_1 - eps_2 with coroot h_1 - h_2
-            roots[1] = (0, 1, -1)
-            coroots[1] = (0, 1, -1)
-    return ChevalleyAction(k, model, e, f, coroots, roots,
+    return ChevalleyAction(k, model, e, f,
+                           dict(enumerate(simple_roots(k), start=1)),
                            weight_table(model))
 
 
@@ -346,19 +335,17 @@ def verify_action(a: ChevalleyAction,
     def ef_cases():
         for i, e_op in a.e.items():
             for j, f_op in a.f.items():
-                want = a.h(a.coroots[i]) if i == j else None
+                want = a.h(a.simple_roots[i]) if i == j else None
                 yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 
     def serre_cases():
-        # below rank 3 there is at most one simple root, so no pair i != j
-        C = cartan_matrix(a.k) if a.k >= 3 else None
         for ops in (a.e, a.f):
             idxs = sorted(ops)
             for i in idxs:
                 for j in idxs:
                     if i == j:
                         continue
-                    c_ij = C[i, j]
+                    c_ij = eps_on_h(a.simple_roots[j], a.simple_roots[i])
                     acc = ops[j]
                     for _ in range(1 - c_ij):
                         acc = bracket(ops[i], acc)
@@ -443,7 +430,6 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
     simple raising/lowering operators and row-reduces their flattened
     matrices; the action is faithful iff the rank is k^2 - 1.
     """
-    from .derivations import sparse_rank
     k = a.k
     if k < 2:
         raise ValueError("gravity line needs k >= 2")
@@ -456,7 +442,7 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
             up = bracket(up, a.e[j - 1])
             down = bracket(a.f[j - 1], down)
             ops += [up, down]
-    ops.extend(a.h(a.coroots[i]) for i in range(1, k))
+    ops.extend(a.h(a.simple_roots[i]) for i in range(1, k))
 
     gen_index = {g: n for n, g in enumerate(a.model.generators)}
     n = len(gen_index)

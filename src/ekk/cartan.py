@@ -2,10 +2,10 @@
 
 The rank-k Cartan space has basis h_0..h_k with inner product
 diag(-1, 1, ..., 1) and dual basis eps_0..eps_k.  Simple roots are
-eps_i - eps_{i+1} for i < k together with eps_0 - eps_1 - eps_2 - eps_3,
-all orthogonal to the distinguished vector K = -3 h_0 + sum h_i.  Root
-systems are enumerated for the finite range 3 <= k <= 8 by simple-root
-closure; nothing is read from external tables.
+eps_i - eps_{i+1} for i < k, joined from k = 3 on by
+eps_0 - eps_1 - eps_2 - eps_3, all orthogonal to the distinguished vector
+K = -3 h_0 + sum h_i.  Root systems are enumerated for the finite range
+3 <= k <= 8 by simple-root closure; nothing is read from external tables.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 __all__ = [
-    "CartanData",
     "CartanMatrix",
     "RootSystem",
     "ParabolicSplit",
-    "cartan_data",
     "cartan_matrix",
+    "simple_roots",
     "positive_roots",
     "parabolic_split",
     "eps_on_h",
@@ -50,22 +49,6 @@ def eps_on_h(eps: Sequence[int], h: Sequence[int]):
 
 
 @dataclass(frozen=True)
-class CartanData:
-    """Simple roots and coroots of the rank-k system inside h_k."""
-
-    k: int
-    simple_roots: Tuple[Vec, ...]   # eps-coordinates, length k+1 each
-    simple_coroots: Tuple[Vec, ...]  # h-coordinates, length k+1 each
-    K: Vec                          # h-coordinates
-
-    def root(self, i: int) -> Vec:
-        return self.simple_roots[i - 1]
-
-    def coroot(self, i: int) -> Vec:
-        return self.simple_coroots[i - 1]
-
-
-@dataclass(frozen=True)
 class CartanMatrix:
     k: int
     entries: Tuple[Vec, ...]
@@ -93,7 +76,6 @@ class ParabolicSplit:
     """Root split for the parabolic dropping the exceptional node."""
 
     k: int
-    removed_node: int
     levi_positive: Tuple[Vec, ...]
     nilradical: Tuple[Vec, ...]
     dim_levi_semisimple: int
@@ -112,9 +94,17 @@ class ParabolicSplit:
             + 2 * self.dim_nilradical
 
 
-def cartan_data(k: int) -> CartanData:
-    if k < 3:
-        raise ValueError(f"cartan_data needs k >= 3, got {k}")
+def simple_roots(k: int) -> Tuple[Vec, ...]:
+    """The simple roots of rank k, in eps-coordinates, for every k >= 0.
+
+    alpha_i = eps_i - eps_{i+1} for 1 <= i < k and, from k = 3 on, the
+    exceptional root alpha_k = eps_0 - eps_1 - eps_2 - eps_3; ranks 0 and 1
+    have none and rank 2 has alpha_1 alone.  No coroot table is kept: `eps_on_h` is
+    the Minkowski product, so the coroot of a simple root (squared length
+    2) has the root's own coordinates.
+    """
+    if k < 0:
+        raise ValueError(f"rank must be >= 0, got {k}")
     n = k + 1
 
     def eps(*pairs: Tuple[int, int]) -> Vec:
@@ -124,24 +114,23 @@ def cartan_data(k: int) -> CartanData:
         return tuple(v)
 
     roots = [eps((i, 1), (i + 1, -1)) for i in range(1, k)]
-    roots.append(eps((0, 1), (1, -1), (2, -1), (3, -1)))
-    coroots = [eps((i, 1), (i + 1, -1)) for i in range(1, k)]
-    coroots.append(eps((0, 1), (1, -1), (2, -1), (3, -1)))
+    if k >= 3:
+        roots.append(eps((0, 1), (1, -1), (2, -1), (3, -1)))
     K = tuple([-3] + [1] * k)
-    data = CartanData(k, tuple(roots), tuple(coroots), K)
-    for i, alpha in enumerate(data.simple_roots, start=1):
+    for i, alpha in enumerate(roots, start=1):
         if eps_on_h(alpha, K) != 0:
             raise AssertionError(f"alpha_{i} not orthogonal to K at k={k}")
-    return data
+    return tuple(roots)
 
 
 def cartan_matrix(k: int) -> CartanMatrix:
-    """Generalized Cartan matrix with c_ji = alpha_i(alpha_j coroot)."""
-    data = cartan_data(k)
-    entries = tuple(
-        tuple(eps_on_h(data.root(i), data.coroot(j)) for i in range(1, k + 1))
-        for j in range(1, k + 1))
-    return CartanMatrix(k, entries)
+    """Generalized Cartan matrix with c_ij = alpha_j(alpha_i coroot)."""
+    if k < 3:
+        raise ValueError(f"cartan_matrix needs k >= 3, got {k}")
+    roots = simple_roots(k)
+    return CartanMatrix(k, tuple(
+        tuple(eps_on_h(alpha_j, alpha_i) for alpha_j in roots)
+        for alpha_i in roots))
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -212,10 +201,10 @@ def positive_roots(k: int) -> RootSystem:
 
 
 def _validate_roots(system: RootSystem) -> None:
-    data = cartan_data(system.k)
+    roots = simple_roots(system.k)
     for root in system.positive:
         eps_vec = [0] * (system.k + 1)
-        for m, alpha in zip(root, data.simple_roots):
+        for m, alpha in zip(root, roots):
             for idx, c in enumerate(alpha):
                 eps_vec[idx] += m * c
         if eps_on_h(eps_vec, eps_vec) != 2:
@@ -237,4 +226,4 @@ def parabolic_split(k: int) -> ParabolicSplit:
     if dim_m != k * k - 1:
         raise AssertionError(
             f"Levi dimension {dim_m} != k^2-1 at k={k}; root closure broken")
-    return ParabolicSplit(k, k, levi, nil, dim_m, 1, len(nil))
+    return ParabolicSplit(k, levi, nil, dim_m, 1, len(nil))

@@ -176,7 +176,8 @@ def cmd_table1(ns) -> Tuple[bool, dict, str]:
             row["det"] = C.det()
         if k in FINITE_RANGE:
             split = parabolic_split(k)
-            row["positive_roots"] = positive_roots(k).count
+            row["positive_roots"] = len(split.levi_positive) \
+                + len(split.nilradical)
             row["levi"] = split.dim_levi_semisimple
             row["abelian"] = split.dim_abelian
             row["nilradical"] = split.dim_nilradical

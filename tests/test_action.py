@@ -10,7 +10,7 @@ import pytest
 from ekk.algebra import Element
 from ekk.action import (build_action, gravity_line_rank, h_derivation,
                         monomial_weight, torus_automorphism, torus_exponents,
-                        verify_action, weight_of)
+                        verify_action, weight_of, weight_table)
 from ekk.dgca import is_chain_map, model_s4, toroidify
 from ekk.derivations import Derivation, bracket
 
@@ -35,7 +35,7 @@ def test_monomial_weight_is_additive():
     k = 2
     x = m.gen_element("s1s2g7") * m.gen_element("w2")
     ((mono, _),) = list(x.items())
-    assert monomial_weight(mono, k) == (-2, 1, 0)
+    assert monomial_weight(mono, k, weight_table(m)) == (-2, 1, 0)
 
 
 # -- displayed action values -------------------------------------------------
@@ -122,8 +122,14 @@ def test_ef_pairs_against_coroots():
     a = build_action(4)
     for i in a.f:
         got = bracket(a.e[i], a.f[i])
-        assert got == a.h(a.coroots[i])
+        assert got == a.h(a.simple_roots[i])
     assert not bracket(a.e[1], a.f[2]).images
+
+
+def test_low_rank_simple_roots():
+    assert build_action(0).simple_roots == {}
+    assert build_action(1).simple_roots == {}
+    assert build_action(2).simple_roots == {1: (0, 1, -1)}
 
 
 def test_unknown_check_rejected():
@@ -267,6 +273,31 @@ def test_failing_verify_payload_golden():
          "residue": "s1g4*w1 + s2g4*w2 + s3g4*w3 + s4g4*w4"},
         {"operator": "e4", "generator": "s1s3g7", "residue": "g4*w2"},
         {"operator": "e4", "generator": "s2s3g7", "residue": "-g4*w1"},
+    ]
+
+
+def test_failing_verify_payload_golden_rank_two():
+    # f1(w2) = w1 + w2 and f1(s1g4) doubled
+    a = build_action(2)
+    m = a.model
+    bad_images = dict(a.f[1].images)
+    bad_images[m.generator("w2")] = m.gen_element("w1") + m.gen_element("w2")
+    g = m.generator("s1g4")
+    bad_images[g] = 2 * bad_images[g]
+    a.f[1] = Derivation(0, bad_images, m, name="f1")
+    payload = verify_action(a, ("cartan", "ef", "weight")).to_payload()
+    assert payload == [
+        {"k": 2, "check": "cartan", "status": "fail", "failures": [
+            {"operator": "[h1,f1]", "generator": "w2", "residue": "w2"},
+            {"operator": "[h2,f1]", "generator": "w2", "residue": "-w2"}]},
+        {"k": 2, "check": "ef", "status": "fail", "failures": [
+            {"operator": "[e1,f1]", "generator": "w1", "residue": "-w2"},
+            {"operator": "[e1,f1]", "generator": "s1g4",
+             "residue": "s1g4"},
+            {"operator": "[e1,f1]", "generator": "s2g4",
+             "residue": "-s2g4"}]},
+        {"k": 2, "check": "weight", "status": "fail", "failures": [
+            {"operator": "f1", "generator": "w2", "residue": "w2"}]},
     ]
 
 

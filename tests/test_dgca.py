@@ -12,7 +12,7 @@ from ekk.dgca import (DgcaHom, cyclification_model, d_squared_zero,
                       free_loop_model, hom0_check, is_chain_map, model_s4,
                       semifree_model, toroidify)
 from ekk.derivations import bracket, s_derivation
-from ekk.action import monomial_weight, weight_of
+from ekk.action import monomial_weight, weight_of, weight_table
 from ekk.adjunction import totalize
 from ekk.reports import dump_json, model_payload, model_text
 
@@ -177,10 +177,11 @@ def test_s_operator_values():
 def test_differential_preserves_weight():
     for k in (1, 2, 3, 4):
         m = toroidify(S4, k)
+        weights = weight_table(m)
         for g in m.generators:
             target = weight_of(g, k)
             for mono, _ in m.diff[g].items():
-                assert monomial_weight(mono, k) == target
+                assert monomial_weight(mono, k, weights) == target
 
 
 def test_truncation_drops_and_annihilates():
