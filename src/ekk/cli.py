@@ -25,14 +25,15 @@ from . import adjunction as adj
 from .action import ALL_CHECKS, build_action, verify_action, weight_table
 from .cartan import (FINITE_RANGE, cartan_matrix, parabolic_split,
                      positive_roots)
-from .dgca import (MAX_RANK, Dgca, cyclification_model, free_loop_model,
-                   is_chain_map, model_s4, toroidify)
+from .dgca import (Dgca, cyclification_model, free_loop_model, is_chain_map,
+                   model_s4, toroidify)
 from .derivations import derivation_basis
 from .reports import dump_json, model_latex, model_payload, model_text
 
 __all__ = ["main", "build_parser"]
 
-#: the ranks `verify`, `derivations` and `table1` accept: 0 <= k <= 11
+#: the ranks `model`, `verify`, `derivations` and `table1` accept:
+#: 0 <= k <= 11; the untruncated ~T^k doubles in size with each rank
 VERIFY_RANKS = range(0, 12)
 
 
@@ -215,7 +216,7 @@ _K = ("--k", {"type": int, "required": True})
 
 VERBS: Dict[str, _Verb] = {
     "model": _Verb(
-        cmd_model, "build and print a model", range(MAX_RANK + 1),
+        cmd_model, "build and print a model", VERIFY_RANKS,
         "model --k {k}",
         (_K, ("--space", {"choices": ["sphere", "loop", "cyclic", "torus"],
                           "default": "torus"}),

@@ -35,7 +35,7 @@ FULL_MODE_GENERATOR_CAP = 8
 class Derivation:
     """A graded derivation determined by generator images."""
 
-    __slots__ = ("degree", "images", "model", "name", "diagonal", "linear")
+    __slots__ = ("degree", "images", "model", "name", "diagonal")
 
     def __init__(self, degree: int, images: Dict[Generator, Element],
                  model: Dgca, name: str = ""):
@@ -46,16 +46,24 @@ class Derivation:
         #: generator -> weight when the derivation has degree 0 and maps
         #: every generator to a multiple of itself, else None
         self.diagonal = _weights(self.images) if degree == 0 else None
-        #: True when every image term is a lone generator to the first power
-        self.linear = all(len(mono) == 1 and mono[0][1] == 1
-                          for img in self.images.values()
-                          for mono in img.terms)
+
+    @property
+    def linear(self) -> bool:
+        """True when every image term is a lone generator to the first power."""
+        return all(len(mono) == 1 and mono[0][1] == 1
+                   for img in self.images.values() for mono in img.terms)
 
     def image(self, g: Generator) -> Element:
         return self.images.get(g, Element.zero())
 
     def apply(self, x: Element) -> Element:
-        """Koszul-Leibniz extension of the generator images.
+        """Koszul-Leibniz extension of the generator images."""
+        return Element(_raw=self._add_to({}, x, 1))
+
+    def _add_to(self, acc: Dict[Monomial, Scalar], x: Element, sign: int
+                ) -> Dict[Monomial, Scalar]:
+        """Add sign * D(x) into the term dict `acc` (sign is 1 or -1) and
+        return it.
 
         A diagonal derivation scales each monomial by the sum of its factors'
         weights.  Otherwise a lone generator to the first power maps straight
@@ -64,7 +72,6 @@ class Derivation:
         prefix, and a second sign for computing the product with the
         differentiated factor pulled to the end.
         """
-        acc: Dict[Monomial, Scalar] = {}
         weights = self.diagonal
         if weights is not None:
             for mono, coeff in x.terms.items():
@@ -74,30 +81,18 @@ class Derivation:
                     if c is not None:
                         s += c * e
                 if s:
-                    c = coeff * s
-                    if type(c) is Fraction and c.denominator == 1:
-                        c = c.numerator
-                    acc[mono] = c
-            return Element(_raw=acc)
-        n_par = self.degree & 1
+                    _acc(acc, mono, _q(coeff * s * sign))
+            return acc
         images = self.images
         for mono, coeff in x.terms.items():
             if len(mono) == 1 and mono[0][1] == 1:
                 img = images.get(mono[0][0])
-                if img is None:
-                    continue
-                for mb, cb in img.terms.items():
-                    c2 = coeff * cb
-                    cur = acc.get(mb)
-                    if cur is None:
-                        acc[mb] = c2
-                    else:
-                        cur += c2
-                        if cur:
-                            acc[mb] = cur
-                        else:
-                            del acc[mb]
+                if img is not None:
+                    c = coeff if sign > 0 else -coeff
+                    for mb, cb in img.terms.items():
+                        _acc(acc, mb, c * cb)
                 continue
+            n_par = self.degree & 1
             total = None
             pre = 0
             for idx, (g, e) in enumerate(mono):
@@ -107,7 +102,7 @@ class Derivation:
                     if total is None:
                         total = sum(h.degree * f for h, f in mono)
                     suf = (total - pre - block) & 1
-                    sgn = 1
+                    sgn = sign
                     if n_par and (pre & 1):
                         sgn = -sgn
                     if ((n_par + g.degree) & 1) and suf:
@@ -117,9 +112,9 @@ class Derivation:
                         c = coeff if sgn > 0 else -coeff
                     else:
                         cof = mono[:idx] + ((g, e - 1),) + mono[idx + 1:]
-                        c = coeff * (e * sgn)
-                        if type(c) is Fraction and c.denominator == 1:
-                            c = c.numerator
+                        c = _q(coeff * (e * sgn))
+                    # `_acc` inlined: the call cost 8% of d^2 on T^11 (min
+                    # CPU of 12 interleaved runs each, Python 3.11, 2 cores)
                     for mb, cb in img.terms.items():
                         r = monomial_product(cof, mb)
                         if r is None:
@@ -136,7 +131,7 @@ class Derivation:
                             else:
                                 del acc[m2]
                 pre += block
-        return Element(_raw=acc)
+        return acc
 
     def linear_matrix(self) -> Dict[Tuple[Generator, Generator], Scalar]:
         """Sparse matrix (source gen, target gen) -> coefficient."""
@@ -204,8 +199,7 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     so only those are visited, in the model's generator order.  A diagonal
     operand h has [h, D] g = 0 wherever D g = 0, so then only the other
     operand's generators are visited, and none when both are diagonal.
-    When both operands are linear, each image is composed term by term from
-    the operands' images, without `apply`.
+    Both legs of each image add into one term dict.
     """
     model = d1.model
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
@@ -215,54 +209,17 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
         moved.update(im1)
     if d2.diagonal is None:
         moved.update(im2)
-    order = model.in_order(moved)
     images: Dict[Generator, Element] = {}
-    if d1.linear and d2.linear:
-        # [d1, d2] g = d1(d2 g) - sign * d2(d1 g), one term at a time
-        legs = ((im2, im1, 1), (im1, im2, -sign))
-        for g in order:
-            acc: Dict[Monomial, Scalar] = {}
-            for inner, outer, s in legs:
-                x = inner.get(g)
-                if x is None:
-                    continue
-                for mono, c in x.terms.items():
-                    img = outer.get(mono[0][0])
-                    if img is None:
-                        continue
-                    if s < 0:
-                        c = -c
-                    for mb, cb in img.terms.items():
-                        c2 = c * cb
-                        cur = acc.get(mb)
-                        if cur is None:
-                            acc[mb] = c2
-                        else:
-                            cur += c2
-                            if cur:
-                                acc[mb] = cur
-                            else:
-                                del acc[mb]
-            if acc:
-                for mono, c in acc.items():
-                    if type(c) is Fraction and c.denominator == 1:
-                        acc[mono] = c.numerator
-                images[g] = Element(_raw=acc)
-    else:
-        for g in order:
-            x2, x1 = im2.get(g), im1.get(g)
-            if x1 is None:
-                img = d1.apply(x2)
-            elif x2 is None:
-                img = d2.apply(x1)
-                if sign > 0:
-                    img = -img
-            elif sign > 0:
-                img = d1.apply(x2) - d2.apply(x1)
-            else:
-                img = d1.apply(x2) + d2.apply(x1)
-            if not img.is_zero:
-                images[g] = img
+    acc: Dict[Monomial, Scalar] = {}
+    for g in model.in_order(moved):
+        # [d1, d2] g = d1(d2 g) - sign * d2(d1 g)
+        if g in im2:
+            d1._add_to(acc, im2[g], 1)
+        if g in im1:
+            d2._add_to(acc, im1[g], -sign)
+        if acc:
+            images[g] = Element(_raw={m: _q(c) for m, c in acc.items()})
+            acc.clear()
     return Derivation(d1.degree + d2.degree, images, model,
                       name=f"[{d1.name},{d2.name}]")
 
@@ -276,19 +233,15 @@ def differential_residues(D: Derivation
     """
     m = D.model
     d = m.differential_derivation()
-    odd = D.degree & 1
+    sign = 1 if D.degree & 1 else -1
     images = D.images
     for g in m.reached_from(images):
-        tail = D.apply(m.diff[g])
-        img = images.get(g)
-        if img is None:
-            if not tail.is_zero:
-                yield g, tail if odd else -tail
-            continue
-        residue = d.apply(img)
-        residue = residue + tail if odd else residue - tail
-        if not residue.is_zero:
-            yield g, residue
+        acc: Dict[Monomial, Scalar] = {}
+        if g in images:
+            d._add_to(acc, images[g], 1)
+        D._add_to(acc, m.diff[g], sign)
+        if acc:
+            yield g, Element(_raw=acc)
 
 
 def commutes_with_differential(D: Derivation) -> CheckReport:

@@ -301,6 +301,26 @@ def test_failing_verify_payload_golden_rank_two():
     ]
 
 
+def test_failing_verify_payload_golden_serre():
+    # e2(w2) doubled and f1(w2) = w1 + w2
+    a = build_action(3)
+    m = a.model
+    w2 = m.generator("w2")
+    bad_e = dict(a.e[2].images)
+    bad_e[w2] = 2 * bad_e[w2]
+    a.e[2] = Derivation(0, bad_e, m, name="e2")
+    bad_f = dict(a.f[1].images)
+    bad_f[w2] = m.gen_element("w1") + m.gen_element("w2")
+    a.f[1] = Derivation(0, bad_f, m, name="f1")
+    (entry,) = verify_action(a, ("serre",)).to_payload()
+    assert entry["status"] == "fail"
+    assert entry["failures"] == [
+        {"operator": "ad(e2)^1(e3)", "generator": "s1s3g4", "residue": "-w3"},
+        {"operator": "ad(e3)^1(e2)", "generator": "s1s3g4", "residue": "w3"},
+        {"operator": "ad(f1)^2(f2)", "generator": "w3", "residue": "w1 + w2"},
+    ]
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_action_images_are_linear_degree_zero(k):
     a = build_action(k)

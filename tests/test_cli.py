@@ -268,6 +268,7 @@ def test_verify_payload_schema(capsys):
     ["model", "--k", "2", "--space", "loop", "--untruncated"],
     ["model", "--k", "1", "--space", "cyclic", "--untruncated"],
     ["model", "--k", "65"],
+    ["model", "--k", "12"],
     ["model", "--k", "5", "--space", "sphere"],
     ["model", "--k", "2", "--space", "cyclic"],
     ["verify", "--k", "3", "--checks", ","],

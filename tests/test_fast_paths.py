@@ -1,11 +1,12 @@
 """Fast paths of the derivation kernel against slow references.
 
-`Derivation.apply` scales each monomial by a diagonal derivation's weights
-and maps a lone generator straight to its image.  `bracket` visits only the
-generators its operands move, only the other operand's generators when one
-operand is diagonal, and none when both are; it composes two linear
-operands' images term by term.  `_operator_residues` compares images with
-a multiple of the wanted operator term by term.  `differential_residues` visits
+`Derivation._add_to`, which `apply`, `bracket` and `differential_residues`
+share, adds into a term dict that may already hold terms; it scales each
+monomial by a diagonal derivation's weights and maps a lone generator
+straight to its image.  `bracket` visits only the generators its operands
+move, only the other operand's generators when one operand is diagonal, and
+none when both are.  `_operator_residues` compares images with a multiple
+of the wanted operator term by term.  `differential_residues` visits
 only the generators a derivation moves and those whose differential uses
 one, found through the model's reverse index.  Coefficients are stored as
 int whenever they are integral.  On the model-building side,
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ekk.action import _operator_residues, build_action, verify_action
@@ -198,6 +199,36 @@ def test_apply_matches_reference_leibniz(case):
     assert D.apply(x) == _ref_apply(D, x)
 
 
+@st.composite
+def add_to_cases(draw):
+    """(D, x, y) with y nonzero; half the time y holds D(x), so that
+    subtracting D(x) from it cancels terms."""
+    k = draw(st.integers(1, 3))
+    model = _setting(k)[0]
+    D, x, y = draw(derivations(k)), draw(elements(model)), \
+        draw(elements(model))
+    if draw(st.booleans()):
+        y = y + _ref_apply(D, x)
+    assume(not y.is_zero)
+    return D, x, y
+
+
+@given(add_to_cases())
+@settings(max_examples=300, deadline=None)
+def test_add_to_subtracts_into_a_nonempty_term_dict(case):
+    D, x, y = case
+    acc = dict(y.terms)
+    assert D._add_to(acc, x, -1) is acc
+    assert all(acc.values())  # cancelled terms are deleted
+    assert Element(_raw=acc) == y - _ref_apply(D, x)
+
+
+def _assert_int_where_integral(D: Derivation):
+    for img in D.images.values():
+        for _, c in img.items():
+            assert type(c) is int or c.denominator != 1, repr(c)
+
+
 @given(bracket_cases())
 @settings(max_examples=60, deadline=None)
 def test_bracket_matches_full_generator_scan(case):
@@ -206,6 +237,7 @@ def test_bracket_matches_full_generator_scan(case):
     want = _ref_bracket(d1, d2)
     assert got == want
     assert list(got.images) == list(want.images)  # model generator order
+    _assert_int_where_integral(got)
 
 
 @st.composite
@@ -231,9 +263,7 @@ def test_linear_bracket_composes_like_the_reference(case):
     assert got == want
     assert list(got.images) == list(want.images)  # model generator order
     assert got.linear
-    for img in got.images.values():
-        for _, c in img.items():
-            assert type(c) is int or c.denominator != 1, repr(c)
+    _assert_int_where_integral(got)
 
 
 def _ref_residues(name, want, got, scale):
