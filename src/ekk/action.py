@@ -2,10 +2,9 @@
 
 Builds the raising operators e_1..e_k, the lowering operators f_1..f_{k-1}
 (f_1 alone at rank 2, none below), and the diagonal Cartan action as exact
-derivations of the rank-k model, assigns the integer weight of every
-generator, realizes the split-torus automorphisms, and runs the relation
-verification suite: chain compatibility, Cartan relations, [e,f] pairs,
-Serre relations, and weight additivity.
+derivations of the rank-k model, realizes the split-torus automorphisms,
+and runs the relation verification suite: chain compatibility, Cartan
+relations, [e,f] pairs, Serre relations, and weight additivity.
 """
 
 from __future__ import annotations
@@ -14,65 +13,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import (Element, Generator, Monomial, Scalar, element_text,
-                      s_indices_of)
+from .algebra import Element, Generator, Scalar, element_text, s_indices_of
 from .cartan import eps_on_h, simple_roots
-from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4, toroidify)
+from .dgca import (CheckReport, Dgca, DgcaHom, Failure, model_s4,
+                   monomial_weight, toroidify)
 from .derivations import (Derivation, bracket, differential_residues,
                           sparse_rank)
 
 __all__ = [
-    "WeightVector",
     "ChevalleyAction",
     "VerifyReport",
     "ALL_CHECKS",
-    "weight_of",
-    "weight_table",
-    "monomial_weight",
     "build_action",
     "h_derivation",
     "verify_action",
     "torus_automorphism",
-    "torus_exponents",
     "gravity_line_rank",
 ]
 
-WeightVector = Tuple[int, ...]
-
-# eps_0 coefficient of the undecorated base generators of the sphere model
-_S4_EPS0 = {"g4": -1, "g7": -2}
-
 ALL_CHECKS = ("chain", "cartan", "ef", "serre", "weight")
-
-
-def weight_of(g: Generator, k: int) -> WeightVector:
-    """Weight of a model generator in eps-coordinates (length k+1).
-
-    The negated `torus_exponents`: decorations add +eps_i, the polynomial
-    generators carry -eps_i, and the base generators carry -eps_0 (g4) and
-    -2 eps_0 (g7).  Only the 4-sphere family carries weights.
-    """
-    w = [0] * (k + 1)
-    for i, c in torus_exponents(g).items():
-        if i > k:
-            raise ValueError(f"index {i} of {g.name} out of range for k={k}")
-        w[i] = -c
-    return tuple(w)
-
-
-def weight_table(model: Dgca) -> Dict[Generator, WeightVector]:
-    """Generator -> weight for every generator, in model order."""
-    return {g: weight_of(g, model.k) for g in model.generators}
-
-
-def monomial_weight(m: Monomial, k: int,
-                    weights: Dict[Generator, WeightVector]) -> WeightVector:
-    """Sum of the factors' weights, read from the `weight_table` `weights`."""
-    w = [0] * (k + 1)
-    for g, e in m:
-        for idx, c in enumerate(weights[g]):
-            w[idx] += c * e
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +99,10 @@ def _g4_pos(model: Dgca) -> int:
     return model.generator("g4").base_pos
 
 
-def h_derivation(model: Dgca, h: Sequence, name: str = "h",
-                 weights: Optional[Dict[Generator, WeightVector]] = None
-                 ) -> Derivation:
-    """Diagonal derivation multiplying each generator by its weight on h.
-
-    `weights` is the model's `weight_table`; it is built when not given.
-    """
-    if weights is None:
-        weights = weight_table(model)
+def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
+    """Diagonal derivation multiplying each generator by its weight on h."""
     images: Dict[Generator, Element] = {}
-    for g, w in weights.items():
+    for g, w in model.weights.items():
         c = eps_on_h(w, h)
         if c:
             images[g] = Element.gen(g, c)
@@ -173,24 +125,20 @@ class ChevalleyAction:
     f: Dict[int, Derivation]
     #: i -> alpha_i in eps-coordinates; alpha_i's coroot has the same ones
     simple_roots: Dict[int, Tuple[int, ...]]
-    #: the model's `weight_table`
-    weights: Dict[Generator, WeightVector]
-
-    def h(self, vec: Sequence) -> Derivation:
-        return h_derivation(self.model, vec, weights=self.weights)
 
     def h_basis(self) -> List[Derivation]:
-        return [h_derivation(self.model, _unit_h(self.k, j), name=f"h{j}",
-                             weights=self.weights)
+        return [h_derivation(self.model, _unit_h(self.k, j), name=f"h{j}")
                 for j in range(self.k + 1)]
 
 
 def _rank_k_model(k: int, model: Optional[Dgca]) -> Dgca:
-    """The given model, which must have rank k, or the rank-k torus model."""
+    """The given model, which must have rank k and carry weights, or the
+    rank-k torus model."""
     if model is None:
-        return toroidify(model_s4(), k)
-    if model.k != k:
+        model = toroidify(model_s4(), k)
+    elif model.k != k:
         raise ValueError(f"{model.label} has rank {model.k}, not {k}")
+    model.weights  # raises outside the 4-sphere family
     return model
 
 
@@ -200,8 +148,6 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
     Ranks 0 and 1 carry only the diagonal action; rank 2 carries e_1, f_1;
     from rank 3 on there are e_1..e_k and f_1..f_{k-1}.
     """
-    if k < 0:
-        raise ValueError(f"rank must be >= 0, got {k}")
     model = _rank_k_model(k, model)
     e: Dict[int, Derivation] = {}
     f: Dict[int, Derivation] = {}
@@ -213,8 +159,7 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
     if k >= 3:
         e[k] = Derivation(0, _e_top_images(model), model, name=f"e{k}")
     return ChevalleyAction(k, model, e, f,
-                           dict(enumerate(simple_roots(k), start=1)),
-                           weight_table(model))
+                           dict(enumerate(simple_roots(k), start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +280,8 @@ def verify_action(a: ChevalleyAction,
     def ef_cases():
         for i, e_op in a.e.items():
             for j, f_op in a.f.items():
-                want = a.h(a.simple_roots[i]) if i == j else None
+                want = h_derivation(model, a.simple_roots[i]) \
+                    if i == j else None
                 yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 
     def serre_cases():
@@ -355,7 +301,7 @@ def verify_action(a: ChevalleyAction,
     def run_weight() -> CheckReport:
         failures = []
         checked = 0
-        weights = a.weights
+        weights = model.weights
         for op, shift in signed:
             images = op.images
             for g in model.generators:
@@ -385,22 +331,6 @@ def verify_action(a: ChevalleyAction,
 # split torus
 # ---------------------------------------------------------------------------
 
-def torus_exponents(g: Generator) -> Dict[int, int]:
-    """Exponents of the scaling of a generator by (t_0, .., t_k).
-
-    Straight from the displayed character formulas: g4 scales by t_0, g7 by
-    t_0^2, w_i by t_i, and each decoration divides by its t_i.
-    """
-    if g.is_w:
-        return {g.index: 1}
-    if g.base not in _S4_EPS0:
-        raise ValueError(f"no torus action table for base {g.base!r}")
-    exps = {0: -_S4_EPS0[g.base]}
-    for i in g.s_indices:
-        exps[i] = exps.get(i, 0) - 1
-    return exps
-
-
 def torus_automorphism(t: Sequence, k: int,
                        model: Optional[Dgca] = None) -> DgcaHom:
     """The diagonal automorphism attached to a split torus element."""
@@ -411,10 +341,11 @@ def torus_automorphism(t: Sequence, k: int,
         raise ValueError("torus components must be nonzero")
     model = _rank_k_model(k, model)
     images: Dict[Generator, Element] = {}
-    for g in model.generators:
+    for g, w in model.weights.items():
         c = Fraction(1)
-        for idx, e in torus_exponents(g).items():
-            c *= t[idx] ** e
+        for tj, wj in zip(t, w):
+            if wj:
+                c *= tj ** -wj
         images[g] = Element.gen(g, c)
     return DgcaHom(model, model, images, name=f"torus{tuple(map(str, t))}")
 
@@ -442,7 +373,7 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
             up = bracket(up, a.e[j - 1])
             down = bracket(a.f[j - 1], down)
             ops += [up, down]
-    ops.extend(a.h(a.simple_roots[i]) for i in range(1, k))
+    ops.extend(h_derivation(a.model, a.simple_roots[i]) for i in range(1, k))
 
     gen_index = {g: n for n, g in enumerate(a.model.generators)}
     n = len(gen_index)

@@ -161,10 +161,10 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 def positive_roots(k: int) -> RootSystem:
     """Enumerate the positive roots by closure from the simple roots.
 
-    In the simply-laced finite range, alpha + alpha_i is a root iff the
-    string length q = p - <alpha, alpha_i coroot> is positive, where p is
-    how far the string extends downward; heights are processed in order so
-    the downward string is always known.
+    The finite range E_3..E_8 is simply laced, so every root string through
+    a positive root alpha != alpha_i has at most two roots: alpha + alpha_i
+    is a root exactly when <alpha, alpha_i coroot> = -1.  The closure adds
+    alpha_i on that test alone, height by height.
     """
     if k not in FINITE_RANGE:
         raise ValueError(
@@ -177,16 +177,7 @@ def positive_roots(k: int) -> RootSystem:
         next_frontier = []
         for alpha in frontier:
             for i in range(k):
-                pairing = sum(alpha[j] * C[i][j] for j in range(k))
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in known:
-                        break
-                    p += 1
-                q = p - pairing
-                if q >= 1:
+                if sum(alpha[j] * C[i][j] for j in range(k)) == -1:
                     up = list(alpha)
                     up[i] += 1
                     t = tuple(up)

@@ -22,7 +22,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import adjunction as adj
-from .action import ALL_CHECKS, build_action, verify_action, weight_table
+from .action import ALL_CHECKS, build_action, verify_action
 from .cartan import (FINITE_RANGE, cartan_matrix, parabolic_split,
                      positive_roots)
 from .dgca import (Dgca, cyclification_model, free_loop_model, is_chain_map,
@@ -82,7 +82,7 @@ def cmd_model(ns) -> Tuple[bool, dict, str]:
         raise _UsageError(f"--space {ns.space} needs --k {fixed_rank}")
     model = _build_space(ns)
     if ns.format == "json":
-        weights = None if ns.untruncated else weight_table(model)
+        weights = None if ns.untruncated else model.weights
         return True, model_payload(model, weights), ""
     return True, {}, (model_latex if ns.format == "latex" else model_text)(model)
 

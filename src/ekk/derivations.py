@@ -14,8 +14,9 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .algebra import (Element, Generator, Monomial, Scalar, UniverseError,
-                      _acc, _q, monomial_degree, monomial_product)
-from .dgca import CheckReport, Dgca, Failure, s_derivation_images
+                      _acc, _q, monomial_degree, monomial_product,
+                      s_insertion_sign)
+from .dgca import CheckReport, Dgca, Failure, monomial_weight
 
 __all__ = [
     "Derivation",
@@ -41,6 +42,11 @@ class Derivation:
                  model: Dgca, name: str = ""):
         self.degree = degree
         self.images = {g: img for g, img in images.items() if not img.is_zero}
+        foreign = self.images.keys() - model.generator_set
+        if foreign:
+            g = next(g for g in self.images if g in foreign)
+            raise UniverseError(f"{g.name} is not a generator of "
+                                f"{model.label}")
         self.model = model
         self.name = name
         #: generator -> weight when the derivation has degree 0 and maps
@@ -187,9 +193,24 @@ def _weights(images: Dict[Generator, Element]
 
 
 def s_derivation(i: int, m: Dgca) -> Derivation:
-    """The decoration operator s_i as a degree -1 derivation of m."""
-    return Derivation(degree=-1, images=s_derivation_images(i, m), model=m,
-                      name=f"s{i}")
+    """The decoration operator s_i as a degree -1 derivation of m.
+
+    s_i sends s_I v to +/- s_{I u {i}} v, kills generators already carrying
+    the index, kills w and sw, and kills anything whose target was removed
+    by the positive-degree truncation.
+    """
+    if not (1 <= i <= max(m.k, 1)):
+        raise ValueError(f"decoration index {i} out of range for k={m.k}")
+    bit = 1 << (i - 1)
+    images: Dict[Generator, Element] = {}
+    for g in m.generators:
+        if not g.is_decorated_base or g.s_bits & bit:
+            continue
+        target = Generator.decorated(g.base, g.base_pos, g.base_degree,
+                                     g.s_bits | bit)
+        if target in m.generator_set:
+            images[g] = Element.gen(target, s_insertion_sign(g.s_bits, i))
+    return Derivation(-1, images, m, name=f"s{i}")
 
 
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
@@ -446,9 +467,8 @@ def derivation_basis(m: Dgca, mode: str = "linear") -> DerivationSpaceBasis:
             f"full mode is limited to models with <= {FULL_MODE_GENERATOR_CAP} "
             f"generators; {m.label} has {len(m.generators)}")
 
-    from .action import monomial_weight, weight_table
     try:
-        weights = weight_table(m)
+        weights = m.weights
     except ValueError:
         weights = None  # only the 4-sphere family carries weights
 

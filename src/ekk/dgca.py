@@ -1,4 +1,4 @@
-"""Semifree DGCAs: model constructors, differentials, and chain-map checks.
+"""Semifree DGCAs: constructors, differentials, weights, chain-map checks.
 
 A model is presented by an ordered list of free generators together with a
 differential table on generators; the differential extends to products by
@@ -24,7 +24,6 @@ from .algebra import (
     _q,
     monomial_product,
     s_bits_of,
-    s_insertion_sign,
 )
 
 __all__ = [
@@ -38,7 +37,10 @@ __all__ = [
     "toroidify",
     "semifree_model",
     "model_over_w",
-    "s_derivation_images",
+    "WeightVector",
+    "weight_of",
+    "monomial_weight",
+    "torus_exponents",
     "d_squared_zero",
     "is_chain_map",
     "hom0_check",
@@ -47,6 +49,8 @@ __all__ = [
 
 # decoration indices are packed into a bitmask
 MAX_RANK = 64
+
+WeightVector = Tuple[int, ...]
 
 
 class Failure:
@@ -118,6 +122,7 @@ class Dgca:
         self._position = {g: i for i, g in enumerate(self.generators)}
         self._d = None
         self._reach = None
+        self._weights = None
         self._validate()
 
     def _validate(self) -> None:
@@ -202,12 +207,23 @@ class Dgca:
         gens = self.generators
         return [gens[i] for i in sorted(hit)]
 
-    def with_diff(self, replacements: Dict[Generator, Element],
-                  label: Optional[str] = None) -> "Dgca":
+    @property
+    def weights(self) -> Dict[Generator, WeightVector]:
+        """Generator -> `weight_of`, in model order, built on first use.
+
+        Only the 4-sphere family carries weights; any other model raises
+        `ValueError` naming the base generator without a torus action.
+        """
+        if self._weights is None:
+            self._weights = {g: weight_of(g, self.k)
+                             for g in self.generators}
+        return self._weights
+
+    def with_diff(self, replacements: Dict[Generator, Element]) -> "Dgca":
         """Copy of the model with some differentials replaced (mutation tests)."""
         diff = dict(self.diff)
         diff.update(replacements)
-        return Dgca(label or self.label + "'", self.k, self.generators, diff,
+        return Dgca(self.label + "'", self.k, self.generators, diff,
                     display=self.display, truncated=self.truncated,
                     base_model=self.base_model,
                     totalization_of=self.totalization_of)
@@ -262,31 +278,6 @@ class DgcaHom:
 
 
 # ---------------------------------------------------------------------------
-# decoration operators
-# ---------------------------------------------------------------------------
-
-def s_derivation_images(i: int, model: Dgca) -> Dict[Generator, Element]:
-    """Generator images of the degree -1 decoration operator s_i.
-
-    s_i sends s_I v to +/- s_{I u {i}} v, kills generators already carrying
-    the index, kills w and sw, and kills anything whose target was removed
-    by the positive-degree truncation.
-    """
-    if not (1 <= i <= max(model.k, 1)):
-        raise ValueError(f"decoration index {i} out of range for k={model.k}")
-    bit = 1 << (i - 1)
-    images: Dict[Generator, Element] = {}
-    for g in model.generators:
-        if not g.is_decorated_base or g.s_bits & bit:
-            continue
-        target = Generator.decorated(g.base, g.base_pos, g.base_degree,
-                                     g.s_bits | bit)
-        if target in model.generator_set:
-            images[g] = Element.gen(target, s_insertion_sign(g.s_bits, i))
-    return images
-
-
-# ---------------------------------------------------------------------------
 # model constructors
 # ---------------------------------------------------------------------------
 
@@ -322,6 +313,51 @@ def model_s4() -> Dgca:
         g7: Element.monomial(((g4, 2),), Fraction(-1, 2)),
     }
     return Dgca("S4", 0, [g4, g7], diff)
+
+
+# eps_0 coefficient of the undecorated base generators of the sphere model
+_S4_EPS0 = {"g4": -1, "g7": -2}
+
+
+def torus_exponents(g: Generator) -> Dict[int, int]:
+    """Exponents of the scaling of a generator by (t_0, .., t_k).
+
+    Straight from the displayed character formulas: g4 scales by t_0, g7 by
+    t_0^2, w_i by t_i, and each decoration divides by its t_i.
+    """
+    if g.is_w:
+        return {g.index: 1}
+    if g.base not in _S4_EPS0:
+        raise ValueError(f"no torus action table for base {g.base!r}")
+    exps = {0: -_S4_EPS0[g.base]}
+    for i in g.s_indices:
+        exps[i] = exps.get(i, 0) - 1
+    return exps
+
+
+def weight_of(g: Generator, k: int) -> WeightVector:
+    """Weight of a model generator in eps-coordinates (length k+1).
+
+    The negated `torus_exponents`: decorations add +eps_i, the polynomial
+    generators carry -eps_i, and the base generators carry -eps_0 (g4) and
+    -2 eps_0 (g7).  Only the 4-sphere family carries weights.
+    """
+    w = [0] * (k + 1)
+    for i, c in torus_exponents(g).items():
+        if i > k:
+            raise ValueError(f"index {i} of {g.name} out of range for k={k}")
+        w[i] = -c
+    return tuple(w)
+
+
+def monomial_weight(m: Monomial, k: int,
+                    weights: Dict[Generator, WeightVector]) -> WeightVector:
+    """Sum of the factors' weights, read from a model's `Dgca.weights`."""
+    w = [0] * (k + 1)
+    for g, e in m:
+        for idx, c in enumerate(weights[g]):
+            w[idx] += c * e
+    return tuple(w)
 
 
 _NamedTerms = Sequence[Tuple[Scalar, Sequence[str]]]

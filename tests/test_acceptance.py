@@ -12,12 +12,13 @@ import time
 from fractions import Fraction
 
 from ekk.action import (build_action, gravity_line_rank, h_derivation,
-                        torus_automorphism, torus_exponents, verify_action)
+                        torus_automorphism, verify_action)
 from ekk.adjunction import (hom_backward, hom_forward, scaling_endo,
                             truncated_correspondence)
 from ekk.cartan import cartan_matrix, parabolic_split, positive_roots
 from ekk.dgca import (cyclification_model, d_squared_zero, free_loop_model,
-                      hom0_check, is_chain_map, model_s4, toroidify)
+                      hom0_check, is_chain_map, model_s4, toroidify,
+                      torus_exponents)
 from ekk.derivations import Derivation, derivation_basis
 
 from _golden import GOLDEN_RANK3, E

@@ -9,10 +9,10 @@ import pytest
 
 from ekk.algebra import Element
 from ekk.action import (build_action, gravity_line_rank, h_derivation,
-                        monomial_weight, torus_automorphism, torus_exponents,
-                        verify_action, weight_of, weight_table)
-from ekk.dgca import is_chain_map, model_s4, toroidify
-from ekk.derivations import Derivation, bracket
+                        torus_automorphism, verify_action)
+from ekk.dgca import (is_chain_map, model_s4, monomial_weight, semifree_model,
+                      toroidify, torus_exponents, weight_of)
+from ekk.derivations import Derivation, bracket, derivation_basis
 
 from _golden import E
 
@@ -23,11 +23,14 @@ S4 = model_s4()
 
 def test_weight_table():
     m = toroidify(S4, 4)
-    k = 4
-    assert weight_of(m.generator("g4"), k) == (-1, 0, 0, 0, 0)
-    assert weight_of(m.generator("g7"), k) == (-2, 0, 0, 0, 0)
-    assert weight_of(m.generator("s1s2g7"), k) == (-2, 1, 1, 0, 0)
-    assert weight_of(m.generator("w3"), k) == (0, 0, 0, -1, 0)
+    w = m.weights
+    assert w[m.generator("g4")] == (-1, 0, 0, 0, 0)
+    assert w[m.generator("g7")] == (-2, 0, 0, 0, 0)
+    assert w[m.generator("s1s2g7")] == (-2, 1, 1, 0, 0)
+    assert w[m.generator("w3")] == (0, 0, 0, -1, 0)
+    assert list(w) == list(m.generators)
+    assert all(w[g] == weight_of(g, 4) for g in m.generators)
+    assert m.weights is w  # built once
 
 
 def test_monomial_weight_is_additive():
@@ -35,7 +38,7 @@ def test_monomial_weight_is_additive():
     k = 2
     x = m.gen_element("s1s2g7") * m.gen_element("w2")
     ((mono, _),) = list(x.items())
-    assert monomial_weight(mono, k, weight_table(m)) == (-2, 1, 0)
+    assert monomial_weight(mono, k, m.weights) == (-2, 1, 0)
 
 
 # -- displayed action values -------------------------------------------------
@@ -122,7 +125,7 @@ def test_ef_pairs_against_coroots():
     a = build_action(4)
     for i in a.f:
         got = bracket(a.e[i], a.f[i])
-        assert got == a.h(a.simple_roots[i])
+        assert got == h_derivation(a.model, a.simple_roots[i])
     assert not bracket(a.e[1], a.f[2]).images
 
 
@@ -140,6 +143,39 @@ def test_unknown_check_rejected():
 def test_build_action_rejects_a_model_of_another_rank():
     with pytest.raises(ValueError, match="rank 4, not 3"):
         build_action(3, toroidify(S4, 4))
+
+
+def test_a_model_outside_the_sphere_family_has_no_action():
+    m = toroidify(semifree_model("X", [("x", 3)], {}), 3)
+    message = "no torus action table for base 'x'"
+    with pytest.raises(ValueError, match=message):
+        build_action(3, m)
+    with pytest.raises(ValueError, match=message):
+        torus_automorphism((1, 1, 1, 1), 3, m)
+    with pytest.raises(ValueError, match=message):
+        h_derivation(m, (1, 0, 0, 0))
+    # without weights the solver still runs, as one block
+    assert derivation_basis(m).dimension == 13
+
+
+#: linear derivation dimension of the untruncated ~T^k, k = 0..6
+UNTRUNCATED_LINEAR_DIMS = (1, 2, 5, 11, 21, 36, 58)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_action_on_the_untruncated_model(k):
+    """The five checks on ~T^k, and its linear derivation dimension.
+
+    From k = 4 on, ~T^k keeps generators of degree 0 or less (s1s2s3s4g4
+    has degree 0) that the truncated T^k drops.  PAPER.md holds only the
+    abstract, so it cannot settle whether the paper's T^k is the
+    truncated model or the untruncated one; the other tests here cover
+    the truncated model.
+    """
+    m = toroidify(S4, k, truncated=False)
+    assert verify_action(build_action(k, m)).ok
+    if k < len(UNTRUNCATED_LINEAR_DIMS):
+        assert derivation_basis(m).dimension == UNTRUNCATED_LINEAR_DIMS[k]
 
 
 # -- split torus --------------------------------------------------------------

@@ -152,6 +152,17 @@ def test_bracket_of_operators_from_two_models_raises():
         bracket(build_action(3).e[1], build_action(4).e[4])
 
 
+def test_derivation_with_an_image_on_a_foreign_generator_raises():
+    # s4g4 belongs to T^4; the chain check on T^3 would skip its image
+    t3, t4 = toroidify(S4, 3), toroidify(S4, 4)
+    images = {t3.generator("g4"): Element.gen(t3.generator("g4")),
+              t4.generator("s4g4"): Element.gen(t4.generator("s4g4")),
+              t4.generator("s4g7"): Element.gen(t4.generator("s4g7"))}
+    with pytest.raises(UniverseError,
+                       match=r"^s4g4 is not a generator of T\^3\(S4\)$"):
+        Derivation(0, images, t3)
+
+
 def test_full_mode_cost_guard():
     with pytest.raises(ValueError):
         derivation_basis(toroidify(S4, 2), "full")

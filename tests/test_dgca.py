@@ -10,9 +10,8 @@ import pytest
 from ekk.algebra import Element, Generator
 from ekk.dgca import (DgcaHom, cyclification_model, d_squared_zero,
                       free_loop_model, hom0_check, is_chain_map, model_s4,
-                      semifree_model, toroidify)
+                      monomial_weight, semifree_model, toroidify, weight_of)
 from ekk.derivations import bracket, s_derivation
-from ekk.action import monomial_weight, weight_of, weight_table
 from ekk.adjunction import totalize
 from ekk.reports import dump_json, model_payload, model_text
 
@@ -177,7 +176,7 @@ def test_s_operator_values():
 def test_differential_preserves_weight():
     for k in (1, 2, 3, 4):
         m = toroidify(S4, k)
-        weights = weight_table(m)
+        weights = m.weights
         for g in m.generators:
             target = weight_of(g, k)
             for mono, _ in m.diff[g].items():

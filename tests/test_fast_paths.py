@@ -33,7 +33,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ekk.action import _operator_residues, build_action, verify_action
+from ekk.action import (_operator_residues, build_action, h_derivation,
+                        verify_action)
 from ekk.algebra import (Element, Generator, UniverseError, monomial_product,
                          parse_generator_name, s_indices_of)
 from ekk.dgca import (_element_from_names, cyclification_model,
@@ -97,7 +98,7 @@ def _setting(k: int, corrupt: bool = False):
     ops = [model.differential_derivation()]
     ops += [s_derivation(i, model) for i in range(1, k + 1)]
     ops += list(a.e.values()) + list(a.f.values())
-    ops.append(a.h(tuple(range(1, k + 2))))
+    ops.append(h_derivation(model, tuple(range(1, k + 2))))
     # monomials of one or two factors, grouped by degree, for random
     # derivations of degree -1, 0 or 1 whose images are not linear
     by_degree = {}

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the library or of the tests imports a name
-it never uses, and the library defines no member that nothing uses.
+it never uses, the library defines no member that nothing uses, and only
+the imports that must wait for call time sit inside a function.
 
 Stdlib `ast` scans.  An imported name counts as used when it appears as a
 name anywhere in the module (string annotations included), when it is
@@ -92,6 +93,23 @@ def _inherited(cls: ast.ClassDef) -> set:
     return names
 
 
+def function_local_imports(library):
+    """(file, module, name) for each relative import inside a function body
+    of the `library` modules, in file and line order."""
+    found = []
+    for path in library:
+        nodes = {}  # an import in a nested function is walked twice
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nodes.update((id(node), node) for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom)
+                             and node.level)
+        for node in sorted(nodes.values(), key=lambda n: n.lineno):
+            found += [(path.name, node.module, alias.name)
+                      for alias in node.names]
+    return found
+
+
 def unused_members(library, users):
     """Methods, properties and private functions of the `library` modules
     whose names the `users` modules never read."""
@@ -153,3 +171,12 @@ def test_scan_flags_an_unused_member(tmp_path):
     user.write_text('def f(a):\n    return a.used()\n')
     assert unused_members([library], [library, user]) == [
         "probe.py:7 A.unused", "probe.py:14 _orphan"]
+
+
+def test_only_dgca_imports_inside_a_function():
+    # d is a Derivation, and the torus constructor applies s_i; every other
+    # library import is at module level, so no import cycle is deferred
+    assert function_local_imports(LIBRARY) == [
+        ("dgca.py", "derivations", "Derivation"),
+        ("dgca.py", "derivations", "s_derivation"),
+    ]
