@@ -264,7 +264,8 @@ def verify_action(a: ChevalleyAction,
     def run_chain() -> CheckReport:
         ops = [D for D, _ in signed] + h_ops
         failures = [Failure(D.name, model.name_of(g), residue)
-                    for D in ops for g, residue in differential_residues(D)]
+                    for D, residues in zip(ops, differential_residues(ops))
+                    for g, residue in residues]
         return CheckReport("chain", failures,
                            len(ops) * len(model.generators))
 

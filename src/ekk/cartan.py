@@ -11,6 +11,7 @@ K = -3 h_0 + sum h_i.  Root systems are enumerated for the finite range
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence, Tuple
 
 __all__ = [
@@ -45,7 +46,7 @@ def eps_on_h(eps: Sequence[int], h: Sequence[int]):
     """
     if len(eps) != len(h):
         raise ValueError("coordinate length mismatch")
-    return -eps[0] * h[0] + sum(e * a for e, a in zip(eps[1:], h[1:]))
+    return sum(map(mul, eps, h)) - 2 * eps[0] * h[0]
 
 
 @dataclass(frozen=True)

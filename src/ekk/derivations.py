@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import (Element, Generator, Monomial, Scalar, UniverseError,
                       _acc, _q, monomial_degree, monomial_product,
@@ -71,24 +70,12 @@ class Derivation:
         """Add sign * D(x) into the term dict `acc` (sign is 1 or -1) and
         return it.
 
-        A diagonal derivation scales each monomial by the sum of its factors'
-        weights.  Otherwise a lone generator to the first power maps straight
-        to its image.  In a longer monomial, the term that differentiates
-        factor i carries the sign for moving a degree-n operator past the
-        prefix, and a second sign for computing the product with the
-        differentiated factor pulled to the end.
+        A lone generator to the first power maps straight to its image.  In
+        a longer monomial, the term that differentiates factor i carries the
+        sign for moving a degree-n operator past the prefix, and a second
+        sign for computing the product with the differentiated factor pulled
+        to the end.
         """
-        weights = self.diagonal
-        if weights is not None:
-            for mono, coeff in x.terms.items():
-                s = 0
-                for g, e in mono:
-                    c = weights.get(g)
-                    if c is not None:
-                        s += c * e
-                if s:
-                    _acc(acc, mono, _q(coeff * s * sign))
-            return acc
         images = self.images
         for mono, coeff in x.terms.items():
             if len(mono) == 1 and mono[0][1] == 1:
@@ -166,10 +153,8 @@ class Derivation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        keys = set(self.images) | set(other.images)
-        return all(self.image(g) == other.image(g) for g in keys)
+        # images hold no zero element, so equal maps have equal dicts
+        return self.degree == other.degree and self.images == other.images
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -183,12 +168,10 @@ def _weights(images: Dict[Generator, Element]
     """Generator -> c when every image is c times its own generator."""
     out: Dict[Generator, Scalar] = {}
     for g, img in images.items():
-        if len(img.terms) != 1:
+        c = img.terms.get(((g, 1),))
+        if c is None or len(img.terms) != 1:
             return None
-        for mono, c in img.terms.items():
-            if len(mono) != 1 or mono[0][0] is not g or mono[0][1] != 1:
-                return None
-            out[g] = c
+        out[g] = c
     return out
 
 
@@ -216,60 +199,135 @@ def s_derivation(i: int, m: Dgca) -> Derivation:
 def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Graded commutator d1 d2 - (-1)^{|d1||d2|} d2 d1, as generator images.
 
-    Only generators with an image under d1 or d2 can have a nonzero image,
-    so only those are visited, in the model's generator order.  A diagonal
-    operand h has [h, D] g = 0 wherever D g = 0, so then only the other
-    operand's generators are visited, and none when both are diagonal.
-    Both legs of each image add into one term dict.
+    A diagonal operand h has the closed form [h, D] g = sum over the terms
+    t of D g of (h(t) - h(g)) t, and [D, h] = -[h, D]; two diagonal
+    operands give zero.  Otherwise only generators with an image under d1
+    or d2 are visited, in the model's generator order, and a leg whose
+    image holds no generator the other operand moves is skipped.  Both legs
+    of each image add into one term dict.
     """
     model = d1.model
+    name = f"[{d1.name},{d2.name}]"
+    images: Dict[Generator, Element] = {}
+    if d1.diagonal is not None or d2.diagonal is not None:
+        h, D, sign = (d1, d2, 1) if d1.diagonal is not None else (d2, d1, -1)
+        weights = h.diagonal
+        if D.diagonal is None:
+            for g in model.in_order(D.images):
+                terms = {}
+                for mono, coeff in D.images[g].terms.items():
+                    s = -weights.get(g, 0)
+                    for f, e in mono:
+                        s += weights.get(f, 0) * e
+                    if s:
+                        terms[mono] = _q(coeff * s * sign)
+                if terms:
+                    images[g] = Element(_raw=terms)
+        return Derivation(D.degree, images, model, name=name)
     sign = -1 if (d1.degree & 1) and (d2.degree & 1) else 1
     im1, im2 = d1.images, d2.images
-    moved = set()
-    if d1.diagonal is None:
-        moved.update(im1)
-    if d2.diagonal is None:
-        moved.update(im2)
-    images: Dict[Generator, Element] = {}
     acc: Dict[Monomial, Scalar] = {}
-    for g in model.in_order(moved):
+    for g in model.in_order(im1.keys() | im2.keys()):
         # [d1, d2] g = d1(d2 g) - sign * d2(d1 g)
-        if g in im2:
-            d1._add_to(acc, im2[g], 1)
-        if g in im1:
-            d2._add_to(acc, im1[g], -sign)
+        x = im2.get(g)
+        if x is not None and _touches(x, im1):
+            d1._add_to(acc, x, 1)
+        x = im1.get(g)
+        if x is not None and _touches(x, im2):
+            d2._add_to(acc, x, -sign)
         if acc:
             images[g] = Element(_raw={m: _q(c) for m, c in acc.items()})
             acc.clear()
-    return Derivation(d1.degree + d2.degree, images, model,
-                      name=f"[{d1.name},{d2.name}]")
+    return Derivation(d1.degree + d2.degree, images, model, name=name)
 
 
-def differential_residues(D: Derivation
-                          ) -> Iterator[Tuple[Generator, Element]]:
-    """The nonzero residues [d, D] g, generator by generator in model order.
+def _touches(x: Element, moved: Dict[Generator, Element]) -> bool:
+    """True when a term of x has a factor in `moved`."""
+    for mono in x.terms:
+        for g, _ in mono:
+            if g in moved:
+                return True
+    return False
+
+
+def differential_residues(ops: Sequence[Derivation]
+                          ) -> List[List[Tuple[Generator, Element]]]:
+    """Per operator D in ops, the nonzero residues [d, D] g as (g, residue)
+    in model order.
 
     [d, D] g = d(D g) - (-1)^{|D|} D(d g) is zero unless D moves g or d g
-    uses a generator D moves, so only those generators are visited.
+    uses a generator D moves, so only those generators are visited, once
+    for all operators.  Each factor of a term of d g is split off once, and
+    its cofactor and signs serve every operator that moves it.
     """
-    m = D.model
+    out: List[List[Tuple[Generator, Element]]] = [[] for _ in ops]
+    if not ops:
+        return out
+    m = ops[0].model
+    # g -> [(operator index, weight)] for the diagonal operators, and
+    # g -> [(operator index, odd degree, image)] for the others
+    scales: Dict[Generator, list] = {}
+    movers: Dict[Generator, list] = {}
+    for j, D in enumerate(ops):
+        if D.model is not m:
+            raise UniverseError(
+                f"{ops[0].name} and {D.name} act on two models")
+        for g, img in D.images.items():
+            if D.diagonal is not None:
+                scales.setdefault(g, []).append((j, D.diagonal[g]))
+            else:
+                movers.setdefault(g, []).append((j, D.degree & 1, img))
     d = m.differential_derivation()
-    sign = 1 if D.degree & 1 else -1
-    images = D.images
-    for g in m.reached_from(images):
-        acc: Dict[Monomial, Scalar] = {}
-        if g in images:
-            d._add_to(acc, images[g], 1)
-        D._add_to(acc, m.diff[g], sign)
-        if acc:
-            yield g, Element(_raw=acc)
+    for x in m.reached_from(scales.keys() | movers.keys()):
+        accs: Dict[int, Dict[Monomial, Scalar]] = {}
+        for j, _, img in movers.get(x, ()):
+            d._add_to(accs.setdefault(j, {}), img, 1)
+        # a diagonal D has [d, D] x = sum over the terms t of d x of
+        # (D(x) - D(t)) t: `own` holds D(x), `shift` collects D(x) - D(t)
+        own = dict(scales.get(x, ()))
+        for mono, coeff in m.diff[x].items():
+            if scales:
+                shift = dict(own)
+                for g, e in mono:
+                    for j, weight in scales.get(g, ()):
+                        shift[j] = shift.get(j, 0) - weight * e
+                for j, s in shift.items():
+                    if s:
+                        accs.setdefault(j, {})[mono] = _q(coeff * s)
+            seen, total = 0, None  # degrees of mono up to g and in all
+            for idx, (g, e) in enumerate(mono):
+                seen += g.degree * e
+                users = movers.get(g)
+                if users is None:
+                    continue
+                if total is None:
+                    total = monomial_degree(mono)
+                # D(d x) enters with -(-1)^{|D|}, times the signs for D
+                # passing the factors before g and for g pulled to the end
+                pre, suf = (seen - g.degree * e) & 1, (total - seen) & 1
+                ce = coeff if e == 1 else _q(coeff * e)
+                even = ce if g.degree & suf else -ce
+                odd = -ce if pre ^ (suf & ~g.degree & 1) else ce
+                cof = mono[:idx] + (((g, e - 1),) if e > 1 else ()) \
+                    + mono[idx + 1:]
+                for j, odd_op, img in users:
+                    acc = accs.setdefault(j, {})
+                    c = odd if odd_op else even
+                    for mb, cb in img.terms.items():
+                        r = monomial_product(cof, mb)
+                        if r is not None:
+                            _acc(acc, r[1], c * cb if r[0] > 0 else -c * cb)
+        for j, acc in accs.items():
+            if acc:
+                out[j].append((x, Element(_raw=acc)))
+    return out
 
 
 def commutes_with_differential(D: Derivation) -> CheckReport:
     """Residues of [d, D] on every generator of D's model."""
     m = D.model
     failures = [Failure("", m.name_of(g), residue)
-                for g, residue in differential_residues(D)]
+                for g, residue in differential_residues([D])[0]]
     return CheckReport(f"[d,{D.name or 'D'}]=0 on {m.label}", failures,
                        len(m.generators))
 

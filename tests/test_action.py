@@ -357,6 +357,20 @@ def test_failing_verify_payload_golden_serre():
     ]
 
 
+def test_failing_verify_payload_golden_diagonal():
+    # d(s1g4) gains g4, which breaks weight homogeneity: [d, h1] and
+    # [d, e1] see it
+    m = toroidify(model_s4(), 3)
+    g = m.generator("s1g4")
+    a = build_action(3, m.with_diff({g: m.diff[g] + m.gen_element("g4")}))
+    (entry,) = verify_action(a, ("chain",)).to_payload()
+    assert entry["status"] == "fail"
+    assert entry["failures"] == [
+        {"operator": "e1", "generator": "s2g4", "residue": "-g4"},
+        {"operator": "h1", "generator": "s1g4", "residue": "g4"},
+    ]
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_action_images_are_linear_degree_zero(k):
     a = build_action(k)

@@ -1,16 +1,19 @@
 """Fast paths of the derivation kernel against slow references.
 
-`Derivation._add_to`, which `apply`, `bracket` and `differential_residues`
-share, adds into a term dict that may already hold terms; it scales each
-monomial by a diagonal derivation's weights and maps a lone generator
-straight to its image.  `bracket` visits only the generators its operands
-move, only the other operand's generators when one operand is diagonal, and
-none when both are.  `_operator_residues` compares images with a multiple
-of the wanted operator term by term.  `differential_residues` visits
-only the generators a derivation moves and those whose differential uses
-one, found through the model's reverse index.  Coefficients are stored as
-int whenever they are integral.  On the model-building side,
-`monomial_product` inserts a one-factor left operand by a single walk,
+`Derivation._add_to`, which `apply` and `bracket` share, adds into a term
+dict that may already hold terms, and maps a lone generator straight to
+its image.  `bracket` visits only the generators its operands move, skips
+a leg whose image holds no generator the other operand moves, and with a
+diagonal operand h uses the closed form [h, D] g = sum over the terms t of
+D g of (h(t) - h(g)) t, and [D, h] = -[h, D].  `_operator_residues`
+compares images with a multiple of the wanted operator term by term.
+`differential_residues` takes a list of operators and visits, once for
+all of them, only the generators they move and those whose differential
+uses one, found through the model's reverse index; each factor's cofactor
+and signs are shared by every operator that moves it, whatever its
+parity.  Coefficients are stored as int whenever they are integral.  On
+the model-building side, `monomial_product` inserts a one-factor left
+operand by a single walk,
 `_element_from_names` folds each named term straight into one monomial,
 and the decorated constructors take one decoration step per generator.
 The derivation-space solver reads its rows straight off d, with no unit
@@ -157,6 +160,15 @@ def linear_derivations(draw, k, corrupt=False):
 
 
 @st.composite
+def diagonal_derivations(draw, k, corrupt=False):
+    """A random diagonal derivation: a few generators, each scaled."""
+    model = _setting(k, corrupt)[0]
+    picks = draw(st.lists(st.sampled_from(model.generators), max_size=4))
+    return Derivation(0, {g: Element.gen(g, draw(coefficients))
+                          for g in picks}, model, name="h")
+
+
+@st.composite
 def derivations(draw, k, corrupt=False):
     """A named operator, a random diagonal derivation, a random linear one,
     or a random one of degree -1, 0 or 1 whose images are generators or
@@ -167,10 +179,9 @@ def derivations(draw, k, corrupt=False):
         return ops[choice]
     if choice == len(ops) + 2:
         return draw(linear_derivations(k, corrupt))
-    picks = draw(st.lists(st.sampled_from(model.generators), max_size=4))
     if choice == len(ops):
-        return Derivation(0, {g: Element.gen(g, draw(coefficients))
-                              for g in picks}, model, name="h")
+        return draw(diagonal_derivations(k, corrupt))
+    picks = draw(st.lists(st.sampled_from(model.generators), max_size=4))
     degree = draw(st.sampled_from((-1, 0, 1)))
     images = {}
     for g in picks:
@@ -239,6 +250,29 @@ def test_bracket_matches_full_generator_scan(case):
     assert got == want
     assert list(got.images) == list(want.images)  # model generator order
     _assert_int_where_integral(got)
+
+
+@st.composite
+def diagonal_bracket_cases(draw):
+    """A diagonal h, named or random, and any operand D."""
+    k = draw(st.integers(1, 3))
+    named = [D for D in _setting(k)[1] if D.diagonal is not None]
+    h = draw(st.one_of(st.sampled_from(named), diagonal_derivations(k)))
+    return h, draw(derivations(k))
+
+
+@given(diagonal_bracket_cases())
+@settings(max_examples=150, deadline=None)
+def test_diagonal_bracket_matches_full_generator_scan(case):
+    """The closed form (h(t) - h(g)) t of [h, D] g, and [D, h] = -[h, D]."""
+    h, D = case
+    assert h.diagonal is not None
+    for d1, d2 in ((h, D), (D, h)):
+        got = bracket(d1, d2)
+        want = _ref_bracket(d1, d2)
+        assert got == want
+        assert list(got.images) == list(want.images)  # model generator order
+        _assert_int_where_integral(got)
 
 
 @st.composite
@@ -329,24 +363,38 @@ def test_operator_residues_scale_zero_and_fraction():
 
 @st.composite
 def residue_cases(draw):
-    return draw(derivations(draw(st.integers(1, 3)), draw(st.booleans())))
+    """One to five operators of one model, clean or corrupted: named ones
+    and random diagonal, linear and general ones of degree -1, 0 and 1."""
+    k, corrupt = draw(st.integers(1, 3)), draw(st.booleans())
+    return draw(st.lists(derivations(k, corrupt), min_size=1, max_size=5))
 
 
 @given(residue_cases())
 @settings(max_examples=150, deadline=None)
-def test_residues_match_full_generator_scan(D):
-    """[d, D] on every generator of the model, clean or corrupted, against
-    the residues visited through the model's own reverse index."""
-    m = D.model
+def test_residues_match_full_generator_scan(ops):
+    """[d, D] on every generator of the model, clean or corrupted, for each
+    D against the one pass over the model's reverse index, which shares
+    each factor's cofactor and signs across operators of both parities."""
+    m = ops[0].model
     d = m.differential_derivation()
-    sign = -1 if D.degree & 1 else 1
-    want = []
-    for g in m.generators:
-        residue = _ref_apply(d, D.image(g)) \
-            - _ref_apply(D, m.diff[g]) * sign
-        if not residue.is_zero:
-            want.append((g, residue))
-    assert list(differential_residues(D)) == want
+    got = differential_residues(ops)
+    assert len(got) == len(ops)
+    for D, residues in zip(ops, got):
+        sign = -1 if D.degree & 1 else 1
+        want = []
+        for g in m.generators:
+            residue = _ref_apply(d, D.image(g)) \
+                - _ref_apply(D, m.diff[g]) * sign
+            if not residue.is_zero:
+                want.append((g, residue))
+        assert residues == want
+
+
+def test_residues_of_operators_on_two_models_raise():
+    e1 = build_action(3).e[1]
+    assert differential_residues([]) == []
+    with pytest.raises(UniverseError, match=r"^s1 and e1 act on two "):
+        differential_residues([_setting(3)[1][1], e1])
 
 
 # -- exact coefficients -------------------------------------------------------
@@ -641,7 +689,8 @@ def _ref_rows(m, block):
     rows = {}
     for col, (g, mono) in enumerate(block):
         unit = Derivation(0, {g: Element.monomial(mono)}, m)
-        for gen, residue in differential_residues(unit):
+        (residues,) = differential_residues([unit])
+        for gen, residue in residues:
             for n, c in residue.items():
                 rows.setdefault((gen, n), {})[col] = c
     return rows
