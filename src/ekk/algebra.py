@@ -103,6 +103,29 @@ def s_insertion_sign(bits: int, i: int) -> int:
     return -1 if below.bit_count() & 1 else 1
 
 
+#: decoration indices run from 1 to MAX_RANK
+MAX_RANK = 64
+# A sort key is one int that orders like (family, position, indices): the
+# indices are the digits of a base-(MAX_RANK + 1) fraction, most significant
+# first, with 0 for an absent index, so a word sorts before its extensions.
+_POS_BITS = 20
+_WORD_BITS = 400
+_DIGIT = [(MAX_RANK + 1) ** (MAX_RANK - 1 - j) for j in range(MAX_RANK)]
+assert (MAX_RANK + 1) ** MAX_RANK <= 1 << _WORD_BITS
+
+
+def _sort_key(family: int, position: int, indices: Tuple[int, ...]) -> int:
+    """The int that sorts exactly like (family, position, indices)."""
+    if not 0 <= position < 1 << _POS_BITS:
+        raise ValueError(f"generator position {position} out of range")
+    if indices and indices[-1] > MAX_RANK:
+        raise ValueError(f"decoration index {indices[-1]} exceeds {MAX_RANK}")
+    word = 0
+    for i, digit in zip(indices, _DIGIT):
+        word += i * digit
+    return ((family << _POS_BITS | position) << _WORD_BITS) + word
+
+
 class Generator:
     """One free generator: w_i, sw_i, or an s-decorated base symbol.
 
@@ -112,11 +135,13 @@ class Generator:
     identity, declaration position included.  Interning makes two generators
     with the same identity one object, so equality and hashing are those of
     the object itself, and equal generators always share one sort key.  The
-    name and the print key are computed once, when the generator is interned.
+    sort key, name and print key are computed once, when the generator is
+    interned.
     """
 
     __slots__ = ("family", "index", "base", "base_pos", "base_degree",
-                 "s_bits", "degree", "key", "name", "print_key")
+                 "s_bits", "s_indices", "degree", "odd", "key", "name",
+                 "print_key")
 
     _interned: Dict[tuple, "Generator"] = {}
 
@@ -133,27 +158,30 @@ class Generator:
                  base_degree: int, s_bits: int):
         if hasattr(self, "family"):
             return  # interned instance already initialized
+        indices = s_indices_of(s_bits) if family == _FAM_V else ()
+        position = base_pos if family == _FAM_V else index
+        # before `family`, which marks the instance as built, so that an
+        # identity out of the key's range is rejected on every call
+        self.key = _sort_key(family, position, indices)
         self.family = family
         self.index = index
         self.base = base
         self.base_pos = base_pos
         self.base_degree = base_degree
         self.s_bits = s_bits
+        self.s_indices = indices
         if family == _FAM_V:
-            indices = s_indices_of(s_bits)
             self.degree = base_degree - len(indices)
-            self.key = (2, base_pos, indices)
             self.name = "".join(f"s{i}" for i in indices) + base
         elif family == _FAM_W:
             self.degree = 2
-            self.key = (0, index, ())
             self.name = f"w{index}"
         else:
             self.degree = 1
-            self.key = (1, index, ())
             self.name = f"sw{index}"
+        self.odd = self.degree & 1
         # decorated bases, then sw, then w: mirrors the usual written order
-        self.print_key = (_FAM_V - family,) + self.key[1:]
+        self.print_key = (_FAM_V - family, position, indices)
 
     @staticmethod
     def w(i: int) -> "Generator":
@@ -179,10 +207,6 @@ class Generator:
     @property
     def is_decorated_base(self) -> bool:
         return self.family == _FAM_V
-
-    @property
-    def s_indices(self) -> Tuple[int, ...]:
-        return self.key[2]
 
     def __repr__(self) -> str:
         return f"Generator({self.name}, deg={self.degree})"
@@ -240,28 +264,29 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
         return 1, b
     if not b:
         return 1, a
-    la, lb = len(a), len(b)
+    la = len(a)
     if la == 1:
         g = a[0][0]
         key = g.key
-        crossed = 0
-        for j, fb in enumerate(b):
-            gb = fb[0]
+        crossed = j = 0
+        for gb, eb in b:
             if gb is g:
-                if g.degree & 1:
+                if g.odd:
                     return None
-                return 1, b[:j] + ((g, a[0][1] + fb[1]),) + b[j + 1:]
+                return 1, b[:j] + ((g, a[0][1] + eb),) + b[j + 1:]
             if gb.key >= key:
                 out = b[:j] + a + b[j:]
                 break
-            crossed += gb.degree & 1
+            crossed += gb.odd
+            j += 1
         else:
             out = b + a
-        return (-1 if g.degree & 1 and crossed & 1 else 1), out
+        return (-1 if g.odd and crossed & 1 else 1), out
+    lb = len(b)
     # odd_suffix[i] = number of odd factors among a[i:]
     odd_suffix = [0] * (la + 1)
     for i in range(la - 1, -1, -1):
-        odd_suffix[i] = odd_suffix[i + 1] + (a[i][0].degree & 1)
+        odd_suffix[i] = odd_suffix[i + 1] + a[i][0].odd
     out = []
     sign = 1
     i = j = 0
@@ -269,7 +294,7 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
         ga, ea = a[i]
         gb, eb = b[j]
         if ga is gb:
-            if ga.degree & 1:
+            if ga.odd:
                 return None
             out.append((ga, ea + eb))
             i += 1
@@ -278,7 +303,7 @@ def monomial_product(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]
             out.append(a[i])
             i += 1
         else:
-            if (gb.degree & 1) and (odd_suffix[i] & 1):
+            if gb.odd and odd_suffix[i] & 1:
                 sign = -sign
             out.append(b[j])
             j += 1

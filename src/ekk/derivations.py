@@ -77,6 +77,7 @@ class Derivation:
         to the end.
         """
         images = self.images
+        n_par = self.degree & 1
         for mono, coeff in x.terms.items():
             if len(mono) == 1 and mono[0][1] == 1:
                 img = images.get(mono[0][0])
@@ -85,7 +86,6 @@ class Derivation:
                     for mb, cb in img.terms.items():
                         _acc(acc, mb, c * cb)
                 continue
-            n_par = self.degree & 1
             total = None
             pre = 0
             for idx, (g, e) in enumerate(mono):
@@ -98,7 +98,7 @@ class Derivation:
                     sgn = sign
                     if n_par and (pre & 1):
                         sgn = -sgn
-                    if ((n_par + g.degree) & 1) and suf:
+                    if n_par ^ g.odd and suf:
                         sgn = -sgn
                     if e == 1:
                         cof = mono[:idx] + mono[idx + 1:]
@@ -136,10 +136,7 @@ class Derivation:
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.degree != other.degree:
             raise ValueError("cannot add derivations of different degree")
-        if other.model is not self.model and \
-                other.model.generator_set != self.model.generator_set:
-            raise UniverseError(f"cannot add derivations of {self.model.label}"
-                                f" and {other.model.label}")
+        _check_same_model("add", self, other)
         images = dict(self.images)
         for g, img in other.images.items():
             images[g] = images.get(g, Element.zero()) + img
@@ -161,6 +158,15 @@ class Derivation:
     def __repr__(self) -> str:
         label = self.name or f"{len(self.images)} images"
         return f"Derivation(deg={self.degree}, {label})"
+
+
+def _check_same_model(verb: str, d1: Derivation, d2: Derivation) -> None:
+    """Raise UniverseError unless d1 and d2 act on one model: the same
+    object, or models with equal generator sets."""
+    if d2.model is not d1.model and \
+            d2.model.generator_set != d1.model.generator_set:
+        raise UniverseError(f"cannot {verb} derivations of {d1.model.label}"
+                            f" and {d2.model.label}")
 
 
 def _weights(images: Dict[Generator, Element]
@@ -204,8 +210,10 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
     operands give zero.  Otherwise only generators with an image under d1
     or d2 are visited, in the model's generator order, and a leg whose
     image holds no generator the other operand moves is skipped.  Both legs
-    of each image add into one term dict.
+    of each image add into one term dict.  Operands of two models raise
+    UniverseError, as in `Derivation.__add__`.
     """
+    _check_same_model("bracket", d1, d2)
     model = d1.model
     name = f"[{d1.name},{d2.name}]"
     images: Dict[Generator, Element] = {}

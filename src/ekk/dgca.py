@@ -15,6 +15,8 @@ from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from .algebra import (
+    INHOMOGENEOUS,
+    MAX_RANK,
     Element,
     Generator,
     Monomial,
@@ -46,9 +48,6 @@ __all__ = [
     "hom0_check",
     "MAX_RANK",
 ]
-
-# decoration indices are packed into a bitmask
-MAX_RANK = 64
 
 WeightVector = Tuple[int, ...]
 
@@ -126,21 +125,31 @@ class Dgca:
         self._validate()
 
     def _validate(self) -> None:
+        """One pass over the terms of each image checks its degree and its
+        generators; a wrong degree is reported before a foreign generator."""
+        known = self.generator_set
         for g in self.generators:
             img = self.diff.get(g)
             if img is None:
                 raise ValueError(f"{self.label}: no differential for {g.name}")
-            if img.is_zero:
-                continue
-            deg = img.degree()
-            if deg != g.degree + 1:
+            deg = foreign = None
+            for mono in img.terms:
+                d = 0
+                for h, e in mono:
+                    d += h.degree * e
+                    if foreign is None and h not in known:
+                        foreign = h
+                if deg is None:
+                    deg = d
+                elif d != deg:
+                    deg = INHOMOGENEOUS
+            if deg is not None and deg != g.degree + 1:
                 raise ValueError(
                     f"{self.label}: d({g.name}) has degree {deg}, "
                     f"expected {g.degree + 1}")
-            for h in img.generators():
-                if h not in self.generator_set:
-                    raise UniverseError(
-                        f"{self.label}: d({g.name}) uses foreign generator {h.name}")
+            if foreign is not None:
+                raise UniverseError(f"{self.label}: d({g.name}) uses foreign "
+                                    f"generator {foreign.name}")
 
     # -- lookups ---------------------------------------------------------
     def generator(self, name: str) -> Generator:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,9 +148,22 @@ def test_derivation_basis_outside_the_sphere_family(mode):
 
 
 def test_bracket_of_operators_from_two_models_raises():
-    message = r"^s1s2s3s4g7 is not a generator of T\^3\(S4\)$"
-    with pytest.raises(UniverseError, match=message):
-        bracket(build_action(3).e[1], build_action(4).e[4])
+    # T^3's generators all lie in T^4, so only the rule of `__add__` (the
+    # same model, or equal generator sets) tells the operands apart
+    a3, a4 = build_action(3), build_action(4)
+    for theirs in (a4.e[4], a4.e[1], a4.h_basis()[1]):
+        for d1, d2 in ((a3.e[1], theirs), (theirs, a3.e[1])):
+            message = (rf"^cannot bracket derivations of "
+                       rf"{re.escape(d1.model.label)} and "
+                       rf"{re.escape(d2.model.label)}$")
+            with pytest.raises(UniverseError, match=message):
+                bracket(d1, d2)
+    # two builds of one model have the same generators and still bracket
+    other = build_action(3)
+    assert other.model is not a3.model
+    assert bracket(other.e[1], a3.f[1]) == bracket(a3.e[1], a3.f[1])
+    assert bracket(other.h_basis()[1], a3.e[1]) == \
+        bracket(a3.h_basis()[1], a3.e[1])
 
 
 def test_derivation_with_an_image_on_a_foreign_generator_raises():

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ekk.algebra import Element, Generator
-from ekk.dgca import (DgcaHom, cyclification_model, d_squared_zero,
+from ekk.algebra import Element, Generator, UniverseError
+from ekk.dgca import (Dgca, DgcaHom, cyclification_model, d_squared_zero,
                       free_loop_model, hom0_check, is_chain_map, model_s4,
                       monomial_weight, semifree_model, toroidify, weight_of)
 from ekk.derivations import bracket, s_derivation
@@ -276,9 +276,33 @@ def test_diff_validation_rejects_wrong_degree():
     g4 = Generator.decorated("g4", 0, 4)
     g7 = Generator.decorated("g7", 1, 7)
     with pytest.raises(ValueError):
-        from ekk.dgca import Dgca
         Dgca("bad", 0, [g4, g7], {g4: Element.zero(),
                                   g7: Element.gen(g4)})
+
+
+def test_diff_validation_reports_degree_before_foreign_generator():
+    g4 = Generator.decorated("g4", 0, 4)
+    g7 = Generator.decorated("g7", 1, 7)
+    G4 = Element.gen(g4)
+    X5 = Element.gen(Generator.decorated("x", 2, 5))  # foreign generators
+    X4 = Element.gen(Generator.decorated("x", 2, 4))
+
+    def build(image):
+        return Dgca("bad", 0, [g4, g7], {g4: Element.zero(), g7: image})
+
+    # a wrong degree and a foreign generator: the degree error comes first
+    for image, degree in [(X5, 5), (G4 ** 2 + X5, "INHOMOGENEOUS"),
+                          (X5 + G4 ** 2, "INHOMOGENEOUS"),
+                          (G4 + G4 ** 2, "INHOMOGENEOUS")]:
+        with pytest.raises(ValueError, match=rf"^bad: d\(g7\) has degree "
+                           rf"{degree}, expected 8$") as exc:
+            build(image)
+        assert not isinstance(exc.value, UniverseError)
+    # the right degree, and a foreign generator in the second term
+    with pytest.raises(UniverseError,
+                       match=r"^bad: d\(g7\) uses foreign generator x$"):
+        build(G4 ** 2 + G4 * X4)
+    assert build(G4 ** 2).diff[g7] == G4 ** 2
 
 
 def test_rank_bounds():

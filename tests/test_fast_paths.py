@@ -13,9 +13,11 @@ uses one, found through the model's reverse index; each factor's cofactor
 and signs are shared by every operator that moves it, whatever its
 parity.  Coefficients are stored as int whenever they are integral.  On
 the model-building side, `monomial_product` inserts a one-factor left
-operand by a single walk,
+operand by a single walk and compares generators by one int key, which
+must sort like the tuple (family, position, decoration indices),
 `_element_from_names` folds each named term straight into one monomial,
 and the decorated constructors take one decoration step per generator.
+`dump_json` writes the indent-2 text of `json.dumps` itself.
 The derivation-space solver reads its rows straight off d, with no unit
 derivation per unknown, and eliminates them fraction-free; the rows are
 checked against unit derivations and the elimination against dense
@@ -28,6 +30,7 @@ float).
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -38,8 +41,9 @@ from hypothesis import strategies as st
 
 from ekk.action import (_operator_residues, build_action, h_derivation,
                         verify_action)
-from ekk.algebra import (Element, Generator, UniverseError, monomial_product,
-                         parse_generator_name, s_indices_of)
+from ekk.algebra import (MAX_RANK, Element, Generator, UniverseError,
+                         monomial_product, parse_generator_name, s_bits_of,
+                         s_indices_of)
 from ekk.dgca import (_element_from_names, cyclification_model,
                       free_loop_model, model_s4, semifree_model, toroidify)
 from ekk.derivations import (FULL_MODE_GENERATOR_CAP, Derivation,
@@ -47,6 +51,7 @@ from ekk.derivations import (FULL_MODE_GENERATOR_CAP, Derivation,
                              _residue_rows, bracket, derivation_basis,
                              differential_residues, nullspace, s_derivation,
                              sparse_rank)
+from ekk.reports import dump_json, model_payload
 
 
 def _product(factors):
@@ -561,6 +566,72 @@ def test_one_factor_product_ties_follow_general_merge():
         assert monomial_product(a, b) == _ref_merge(a, b)
 
 
+def _old_key(g: Generator):
+    """The tuple that `Generator.key` encodes as one int."""
+    position = g.base_pos if g.is_decorated_base else g.index
+    return (g.family, position, s_indices_of(g.s_bits))
+
+
+# words that probe the digits of the key: the top index MAX_RANK, a word
+# against its extensions, and the longest word
+_KEY_WORDS = [(), (1,), (1, 2), (1, MAX_RANK), (2,), (MAX_RANK - 1,),
+              (MAX_RANK - 1, MAX_RANK), (MAX_RANK,),
+              tuple(range(1, MAX_RANK + 1)), tuple(range(2, MAX_RANK + 1))]
+
+
+@st.composite
+def key_generators(draw):
+    kind = draw(st.sampled_from(["tied", "w", "sw", "decorated"]))
+    if kind == "tied":
+        return draw(st.sampled_from(_TIED_GENS))
+    if kind != "decorated":
+        index = draw(st.integers(0, 6))
+        return Generator.w(index) if kind == "w" else Generator.sw(index)
+    base, pos, deg = draw(st.sampled_from(
+        (("g4", 0, 4), ("x", 0, 3), ("g7", 1, 7), ("y", 2, 70))))
+    word = draw(st.sampled_from(_KEY_WORDS)
+                | st.sets(st.integers(1, MAX_RANK), max_size=5))
+    return Generator.decorated(base, pos, deg, s_bits_of(word))
+
+
+@given(st.lists(key_generators(), max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_int_keys_sort_like_the_tuple_keys(gens):
+    assert sorted(gens, key=lambda g: g.key) == sorted(gens, key=_old_key)
+    for g in gens:
+        for h in gens:
+            assert (g.key < h.key) == (_old_key(g) < _old_key(h))
+            assert (g.key == h.key) == (_old_key(g) == _old_key(h))
+        position, indices = _old_key(g)[1:]
+        assert g.s_indices == indices
+        assert g.print_key == (2 - g.family, position, indices)
+
+
+def test_key_words_and_ties():
+    gens = [Generator.decorated(base, 0, 70, s_bits_of(word))
+            for word in _KEY_WORDS for base in ("g4", "x")]
+    ordered = sorted(gens, key=lambda g: g.key)
+    assert ordered == sorted(gens, key=_old_key)
+    # equal words tie, and sorted() keeps the tied pair in input order
+    assert [g.base for g in ordered[:2]] == ["g4", "x"]
+    assert ordered[0].key == ordered[1].key
+    top = Generator.decorated("g4", 0, 70, s_bits_of([MAX_RANK]))
+    assert top.s_indices == (MAX_RANK,) and top.name == f"s{MAX_RANK}g4"
+    assert top.print_key == (0, 0, (MAX_RANK,))
+    assert Generator.w(3).print_key == (2, 3, ())
+    assert Generator.sw(3).print_key == (1, 3, ())
+
+
+def test_identities_outside_the_key_range_raise():
+    for _ in range(2):  # a rejected identity stays rejected
+        with pytest.raises(ValueError, match="exceeds 64"):
+            Generator.decorated("g4", 0, 70, s_bits_of([1, MAX_RANK + 1]))
+        with pytest.raises(ValueError, match="out of range"):
+            Generator.w(1 << 20)
+    with pytest.raises(ValueError, match="exceeds 64"):
+        parse_generator_name("s65g4", {"g4": (0, 4)})
+
+
 def _ref_from_names(terms, gens):
     """The fold of `Element` products and sums that builds named terms."""
     acc = Element.zero()
@@ -852,3 +923,61 @@ def test_derivation_basis_builds_no_derivation_per_unknown(monkeypatch):
     monkeypatch.setattr(Derivation, "__init__", counting_init)
     basis = derivation_basis(m)
     assert len(built) == basis.dimension == 21
+
+
+# -- JSON writer --------------------------------------------------------------
+
+_json_text = st.text() | st.sampled_from(
+    ['', '"', '\\', '\\"', '\x00\x1f\x7f', '\n\r\t', 'é', ' ', '\U0001f600',
+     '"quoted" \\ slash'])
+_json_scalars = (st.none() | st.booleans() | st.integers() | _json_text
+                 | st.floats(allow_nan=True, allow_infinity=True))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.none() | st.booleans() | st.integers()
+                                     | st.floats() | _json_text,
+                                     inner, max_size=4)),
+    max_leaves=25)
+
+
+@given(_json_values)
+@settings(max_examples=500, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("build", [
+    model_s4,
+    lambda: cyclification_model(model_s4()),
+    *[lambda k=k: free_loop_model(model_s4(), k) for k in range(6)],
+    *[lambda k=k: toroidify(model_s4(), k) for k in range(6)],
+    *[lambda k=k: toroidify(model_s4(), k, truncated=False) for k in range(6)],
+])
+def test_dump_json_of_model_payloads(build):
+    m = build()
+    payload = model_payload(m, m.weights)
+    assert dump_json(payload) == json.dumps(payload, indent=2)
+
+
+def test_dump_json_of_subclassed_values():
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Ratio(float):
+        pass
+
+    class Row(list):
+        pass
+
+    class Table(dict):
+        pass
+
+    value = Table({Count(1): Row([Label("a"), Count(2), Ratio(0.5), True]),
+                   Label("k"): (Table(), Row()), Ratio(-0.0): None})
+    for part in (value, Label("x"), Count(-3), Ratio(float("inf"))):
+        assert dump_json(part) == json.dumps(part, indent=2)
