@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .algebra import Element, Generator, Scalar, element_text, s_indices_of
 from .cartan import eps_on_h, simple_roots
@@ -101,12 +102,19 @@ def _g4_pos(model: Dgca) -> int:
 
 def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
     """Diagonal derivation multiplying each generator by its weight on h."""
-    images: Dict[Generator, Element] = {}
+    return Derivation(0, {g: Element.gen(g, c)
+                          for g, c in _pairings(model, h).items()},
+                      model, name=name)
+
+
+def _pairings(model: Dgca, h: Sequence) -> Dict[Generator, Scalar]:
+    """Generator -> its weight on h, for the generators where it is not 0."""
+    out: Dict[Generator, Scalar] = {}
     for g, w in model.weights.items():
         c = eps_on_h(w, h)
         if c:
-            images[g] = Element.gen(g, c)
-    return Derivation(0, images, model, name=name)
+            out[g] = c
+    return out
 
 
 def _unit_h(k: int, j: int) -> Tuple[int, ...]:
@@ -166,6 +174,11 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
 # verification
 # ---------------------------------------------------------------------------
 
+#: the operator a relation check wants: a derivation, a diagonal operator
+#: as generator -> c, or None for zero
+_Wanted = Union[Derivation, Dict[Generator, Scalar], None]
+
+
 class VerifyReport:
     """Outcome of the relation checks for one rank."""
 
@@ -200,34 +213,38 @@ class VerifyReport:
         return f"VerifyReport(k={self.k}, {state})"
 
 
-def _operator_residues(name: str, want: Optional[Derivation],
-                       got: Derivation, scale: Scalar = 1) -> List[Failure]:
+def _operator_residues(name: str, want: _Wanted, got: Derivation,
+                       scale: Scalar = 1) -> List[Failure]:
     """One failure per generator where got differs from scale * want, in
     generator order, with residue got(g) - scale * want(g).
 
-    `want=None` or `scale=0` stands for the zero operator.  Images are
-    compared term by term; a residue is built only for a mismatch.
+    `want` is a derivation, a diagonal operator given as generator -> c
+    for its images c g, or None; `want=None` or `scale=0` stands for the
+    zero operator.  Images are compared term by term; a residue is built
+    only for a mismatch.
     """
     failures = []
     model = got.model
     got_images = got.images
-    want_images = want.images if want is not None and scale else {}
+    diagonal = isinstance(want, dict)
+    want_images = {} if want is None or not scale else \
+        want if diagonal else want.images
     for g in model.in_order(got_images.keys() | want_images.keys()):
         x, y = got_images.get(g), want_images.get(g)
         if y is None:
             residue = x
         else:
-            if x is not None and len(x.terms) == len(y.terms) and all(
-                    x.terms.get(mono) == c * scale
-                    for mono, c in y.terms.items()):
+            y = {((g, 1),): y} if diagonal else y.terms
+            if x is not None and len(x.terms) == len(y) and all(
+                    x.terms.get(mono) == c * scale for mono, c in y.items()):
                 continue
-            residue = (x or Element.zero()) - y * scale
+            residue = (x or Element.zero()) - Element(_raw=y) * scale
         failures.append(Failure(name, model.name_of(g), residue))
     return failures
 
 
 def _relation_report(check: str, cases: Iterable[Tuple[
-        str, Derivation, Optional[Derivation], Scalar]]) -> CheckReport:
+        str, Derivation, _Wanted, Scalar]]) -> CheckReport:
     """Run `_operator_residues` on each (name, got, want, scale) case."""
     failures = []
     checked = 0
@@ -281,7 +298,7 @@ def verify_action(a: ChevalleyAction,
     def ef_cases():
         for i, e_op in a.e.items():
             for j, f_op in a.f.items():
-                want = h_derivation(model, a.simple_roots[i]) \
+                want = _pairings(model, a.simple_roots[i]) \
                     if i == j else None
                 yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 
@@ -334,20 +351,31 @@ def verify_action(a: ChevalleyAction,
 
 def torus_automorphism(t: Sequence, k: int,
                        model: Optional[Dgca] = None) -> DgcaHom:
-    """The diagonal automorphism attached to a split torus element."""
+    """The diagonal automorphism attached to a split torus element.
+
+    It scales g by c_g = prod_j t_j^(-w_j), w the weight of g.  Each c_g
+    is one Fraction of two integer products, of the t_j's numerators and
+    denominators raised to |w_j|.  The map is diagonal, so `is_chain_map`
+    checks it in closed form.
+    """
     t = [Fraction(c) for c in t]
     if len(t) != k + 1:
         raise ValueError(f"torus element needs {k + 1} components")
     if any(c == 0 for c in t):
         raise ValueError("torus components must be nonzero")
     model = _rank_k_model(k, model)
+    parts = [(c.numerator, c.denominator) for c in t]
     images: Dict[Generator, Element] = {}
     for g, w in model.weights.items():
-        c = Fraction(1)
-        for tj, wj in zip(t, w):
-            if wj:
-                c *= tj ** -wj
-        images[g] = Element.gen(g, c)
+        num = den = 1
+        for (a, b), wj in zip(parts, w):
+            if wj > 0:
+                num *= b ** wj
+                den *= a ** wj
+            elif wj:
+                num *= a ** -wj
+                den *= b ** -wj
+        images[g] = Element.gen(g, Fraction(num, den))
     return DgcaHom(model, model, images, name=f"torus{tuple(map(str, t))}")
 
 

@@ -325,6 +325,18 @@ def _acc(d: Dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
             del d[m]
 
 
+def _mul_into(acc: Dict[Monomial, Scalar], a: Dict[Monomial, Scalar],
+              b: Dict[Monomial, Scalar]) -> Dict[Monomial, Scalar]:
+    """Add the product of the term dicts a and b, a's terms on the left,
+    into the term dict `acc` and return it."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            r = monomial_product(ma, mb)
+            if r is not None:
+                _acc(acc, r[1], ca * cb if r[0] > 0 else -ca * cb)
+    return acc
+
+
 class Element:
     """A finite Q-linear combination of canonical monomials."""
 
@@ -418,15 +430,7 @@ class Element:
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if isinstance(other, Element):
-            acc: Dict[Monomial, Scalar] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    r = monomial_product(ma, mb)
-                    if r is None:
-                        continue
-                    sign, m = r
-                    _acc(acc, m, ca * cb if sign > 0 else -ca * cb)
-            return Element(_raw=acc)
+            return Element(_raw=_mul_into({}, self.terms, other.terms))
         c = _q(other)
         if not c:
             return Element.zero()

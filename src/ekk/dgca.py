@@ -23,6 +23,7 @@ from .algebra import (
     Scalar,
     UniverseError,
     _acc,
+    _mul_into,
     _q,
     monomial_product,
     s_bits_of,
@@ -242,7 +243,16 @@ class Dgca:
 
 
 class DgcaHom:
-    """A degree-preserving algebra map determined by generator images."""
+    """A degree-preserving algebra map determined by generator images.
+
+    Every source generator needs an image in the target of its own degree,
+    and an image for a generator outside the source raises UniverseError.
+    `diagonal` maps each generator g to c_g when every image is c_g g (a
+    split torus element, a scaling), and is None otherwise; it is read off
+    the images, never chosen by the caller.  `is_chain_map` checks a
+    diagonal map of a model to itself in closed form, comparing products
+    of the c_f with c_g on integer numerators and denominators.
+    """
 
     def __init__(self, source: Dgca, target: Dgca,
                  images: Dict[Generator, Element], name: str = ""):
@@ -250,28 +260,64 @@ class DgcaHom:
         self.target = target
         self.images = dict(images)
         self.name = name
+        foreign = self.images.keys() - source.generator_set
+        if foreign:
+            g = next(g for g in self.images if g in foreign)
+            raise UniverseError(f"{g.name} is not a generator of "
+                                f"{source.label}")
+        in_target = target.generator_set
+        diagonal: Optional[Dict[Generator, Scalar]] = {}
         for g in source.generators:
             img = self.images.get(g)
             if img is None:
                 raise ValueError(f"hom misses image of {g.name}")
+            if diagonal is not None:
+                # c g, with g in the target, passes both checks below
+                c = img.terms.get(((g, 1),)) if len(img.terms) == 1 else None
+                if c is not None and g in in_target:
+                    diagonal[g] = c
+                    continue
+                diagonal = None
             if not img.is_zero and not img.is_homogeneous(g.degree):
                 raise ValueError(
                     f"hom image of {g.name} is not of degree {g.degree}")
             target.check_element(img)
+        self.diagonal = diagonal
 
     def apply(self, x: Element) -> Element:
-        out = Element.zero()
-        for mono, coeff in x.items():
-            piece = Element.scalar(coeff)
+        return Element(_raw=self._add_to({}, x, 1))
+
+    def _add_to(self, acc: Dict[Monomial, Scalar], x: Element, sign: int
+                ) -> Dict[Monomial, Scalar]:
+        """Add sign * h(x) into the term dict `acc` (sign is 1 or -1) and
+        return it.
+
+        The images of a term's factors are multiplied left to right into
+        one term dict, which is then added into `acc`; a power of an image
+        is computed once per call.
+        """
+        images = self.images
+        powers: Dict[Tuple[Generator, int], Dict[Monomial, Scalar]] = {}
+        for mono, coeff in x.terms.items():
+            prod = {(): coeff if sign > 0 else -coeff}
             for g, e in mono:
-                img = self.images.get(g)
+                img = images.get(g)
                 if img is None:
                     raise UniverseError(f"hom has no image for {g.name}")
-                piece = piece * (img ** e)
-                if piece.is_zero:
+                terms = img.terms
+                if e > 1:
+                    if (g, e) not in powers:
+                        power = terms
+                        for _ in range(e - 1):
+                            power = _mul_into({}, power, terms)
+                        powers[g, e] = power
+                    terms = powers[g, e]
+                prod = _mul_into({}, prod, terms)
+                if not prod:
                     break
-            out = out + piece
-        return out
+            for m, c in prod.items():
+                _acc(acc, m, c)
+        return acc
 
     def compose(self, inner: "DgcaHom") -> "DgcaHom":
         """self o inner."""
@@ -522,15 +568,42 @@ def d_squared_zero(m: Dgca) -> CheckReport:
 
 
 def is_chain_map(h: DgcaHom) -> CheckReport:
-    """Check h(d_src g) = d_tgt(h g) on every source generator."""
-    d_tgt = h.target.differential_derivation()
+    """Check h(d_src g) = d_tgt(h g) on every source generator.
+
+    Both sides add into one term dict per generator.  A diagonal h (every
+    h g = c_g g) of a model to itself needs no product: the residue at g
+    is the sum over the terms t of d g of coeff_t (prod c_f^e - c_g) t,
+    the product running over the factors f^e of t.  Each product is
+    compared with c_g on integers, its numerator times c_g's denominator
+    against c_g's numerator times its denominator, and a Fraction is built
+    only for a nonzero residue term.
+    """
+    src = h.source
+    scale = h.diagonal if src is h.target else None
+    if scale is None:
+        d_tgt = h.target.differential_derivation()
+    else:
+        parts = {g: (c.numerator, c.denominator) for g, c in scale.items()}
     failures = []
-    for g in h.source.generators:
-        residue = h.apply(h.source.diff[g]) - d_tgt.apply(h.images[g])
-        if not residue.is_zero:
-            failures.append(Failure("", h.source.name_of(g), residue))
-    return CheckReport(f"chain map {h.source.label}->{h.target.label}",
-                       failures, len(h.source.generators))
+    for g in src.generators:
+        if scale is None:
+            acc = h._add_to({}, src.diff[g], 1)
+            d_tgt._add_to(acc, h.images[g], -1)
+        else:
+            p, q = parts[g]
+            acc = {}
+            for mono, coeff in src.diff[g].terms.items():
+                num = den = 1
+                for f, e in mono:
+                    a, b = parts[f]
+                    num *= a ** e
+                    den *= b ** e
+                if num * q != p * den:
+                    acc[mono] = _q(coeff * (Fraction(num, den) - scale[g]))
+        if acc:
+            failures.append(Failure("", src.name_of(g), Element(_raw=acc)))
+    return CheckReport(f"chain map {src.label}->{h.target.label}",
+                       failures, len(src.generators))
 
 
 def hom0_check(h: DgcaHom) -> bool:

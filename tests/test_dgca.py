@@ -250,6 +250,21 @@ def test_chain_map_identity_and_negative():
     assert any(f.generator == "g4" for f in rep.failures)
 
 
+def test_hom_images_outside_source_or_target_raise():
+    t1 = toroidify(S4, 1)
+    w1 = t1.gen_element("w1")
+    images = {g: Element.gen(g) for g in S4.generators}
+    with pytest.raises(UniverseError, match=r"^w1 is not a generator of S4$"):
+        DgcaHom(S4, S4, {**images, t1.generator("w1"): w1})
+    # the identity images of T^1 name generators that S4 lacks
+    with pytest.raises(UniverseError, match=r"^element uses w1, not a "
+                                            r"generator of S4$"):
+        DgcaHom(t1, S4, {g: Element.gen(g) for g in t1.generators})
+    ident = DgcaHom(S4, S4, images)
+    with pytest.raises(UniverseError, match=r"^hom has no image for w1$"):
+        ident.apply(w1)
+
+
 def test_hom0_check_examples():
     k = 4
     n = toroidify(S4, k, truncated=False)

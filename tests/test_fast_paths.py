@@ -6,7 +6,8 @@ its image.  `bracket` visits only the generators its operands move, skips
 a leg whose image holds no generator the other operand moves, and with a
 diagonal operand h uses the closed form [h, D] g = sum over the terms t of
 D g of (h(t) - h(g)) t, and [D, h] = -[h, D].  `_operator_residues`
-compares images with a multiple of the wanted operator term by term.
+compares images with a multiple of the wanted operator term by term, the
+wanted operator a derivation or a diagonal one given as generator -> c.
 `differential_residues` takes a list of operators and visits, once for
 all of them, only the generators they move and those whose differential
 uses one, found through the model's reverse index; each factor's cofactor
@@ -18,6 +19,10 @@ must sort like the tuple (family, position, decoration indices),
 `_element_from_names` folds each named term straight into one monomial,
 and the decorated constructors take one decoration step per generator.
 `dump_json` writes the indent-2 text of `json.dumps` itself.
+An algebra map multiplies its images into one term dict, with the powers
+of an image cached per call, in `apply`, `compose` and `is_chain_map`; a
+diagonal map of a model to itself is checked in closed form.  Both are
+checked against the Element-level loop of `*`, `**` and `+`.
 The derivation-space solver reads its rows straight off d, with no unit
 derivation per unknown, and eliminates them fraction-free; the rows are
 checked against unit derivations and the elimination against dense
@@ -40,12 +45,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ekk.action import (_operator_residues, build_action, h_derivation,
-                        verify_action)
+                        torus_automorphism, verify_action)
 from ekk.algebra import (MAX_RANK, Element, Generator, UniverseError,
                          monomial_product, parse_generator_name, s_bits_of,
                          s_indices_of)
-from ekk.dgca import (_element_from_names, cyclification_model,
-                      free_loop_model, model_s4, semifree_model, toroidify)
+from ekk.adjunction import hom_backward, hom_forward, scaling_endo
+from ekk.dgca import (DgcaHom, _element_from_names, cyclification_model,
+                      free_loop_model, is_chain_map, model_s4,
+                      semifree_model, toroidify)
 from ekk.derivations import (FULL_MODE_GENERATOR_CAP, Derivation,
                              _eliminate, _monomials_of_degree, _partials,
                              _residue_rows, bracket, derivation_basis,
@@ -306,11 +313,19 @@ def test_linear_bracket_composes_like_the_reference(case):
     _assert_int_where_integral(got)
 
 
+def _wanted_image(want, g):
+    """want(g), for a derivation or a diagonal operator given as g -> c."""
+    if isinstance(want, dict):
+        return Element.gen(g, want.get(g, 0))
+    return want.image(g)
+
+
 def _ref_residues(name, want, got, scale):
     """got(g) - scale * want(g) on every generator of the model."""
     out = []
     for g in got.model.generators:
-        wanted = scale * want.image(g) if want is not None else Element.zero()
+        wanted = scale * _wanted_image(want, g) if want is not None \
+            else Element.zero()
         residue = got.image(g) - wanted
         if not residue.is_zero:
             out.append((name, got.model.name_of(g), residue))
@@ -320,14 +335,18 @@ def _ref_residues(name, want, got, scale):
 @st.composite
 def operator_residue_cases(draw):
     """(want, got, scale): got is scale * want, or the zero operator when
-    want is None, with a few images replaced or changed at random."""
+    want is None, with a few images replaced or changed at random.  want
+    is a derivation or a diagonal operator given as generator -> c."""
     k = draw(st.integers(1, 3))
     model = _setting(k)[0]
-    want = draw(st.one_of(st.none(), derivations(k)))
+    want = draw(st.one_of(st.none(), derivations(k), diagonal_derivations(
+        k).map(lambda h: h.diagonal)))
     scale = draw(st.one_of(st.sampled_from((0, 1, -1, 2, Fraction(1, 2))),
                            coefficients))
-    degree = want.degree if want is not None else 0
-    images = dict((scale * want).images) if want is not None else {}
+    degree = want.degree if isinstance(want, Derivation) else 0
+    images = {} if want is None else {
+        g: img for g in model.generators
+        if not (img := scale * _wanted_image(want, g)).is_zero}
     for g in draw(st.lists(st.sampled_from(model.generators), max_size=3)):
         if draw(st.booleans()):
             images[g] = images.get(g, Element.zero()) + draw(elements(model))
@@ -774,13 +793,15 @@ def _modes(m):
 
 
 @st.composite
-def semifree_models(draw):
+def semifree_models(draw, base=None):
     """A random semifree model: one to five generators of degree 1 to 4,
-    each d x a random combination of the monomials of degree |x| + 1
-    (squares, odd factors, Fraction coefficients and x itself included;
-    d^2 = 0 is not required)."""
-    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    base = semifree_model("R", [(f"x{i}", n) for i, n in enumerate(degrees)])
+    or those of `base`, each d x a random combination of the monomials of
+    degree |x| + 1 (squares, odd factors, Fraction coefficients and x
+    itself included; d^2 = 0 is not required)."""
+    if base is None:
+        degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+        base = semifree_model("R", [(f"x{i}", n)
+                                    for i, n in enumerate(degrees)])
     diff = {}
     for g in base.generators:
         monos = _monomials_of_degree(base.generators, g.degree + 1)
@@ -923,6 +944,208 @@ def test_derivation_basis_builds_no_derivation_per_unknown(monkeypatch):
     monkeypatch.setattr(Derivation, "__init__", counting_init)
     basis = derivation_basis(m)
     assert len(built) == basis.dimension == 21
+
+
+# -- algebra maps -------------------------------------------------------------
+
+def _ref_hom_apply(h: DgcaHom, x: Element) -> Element:
+    """h(x) by the Element-level loop: each term's factor images raised with
+    `**` and multiplied with `*`, and the terms added with `+`."""
+    out = Element.zero()
+    for mono, coeff in x.items():
+        piece = Element.scalar(coeff)
+        for g, e in mono:
+            piece = piece * (h.images[g] ** e)
+            if piece.is_zero:
+                break
+        out = out + piece
+    return out
+
+
+def _ref_chain_residues(h: DgcaHom):
+    """(name, h(d g) - d(h g)) for every source generator g where it is not
+    zero, in source order."""
+    d = h.target.differential_derivation()
+    out = []
+    for g in h.source.generators:
+        residue = _ref_hom_apply(h, h.source.diff[g]) \
+            - _ref_apply(d, h.images[g])
+        if not residue.is_zero:
+            out.append((h.source.name_of(g), residue))
+    return out
+
+
+def _ref_diagonal(h: DgcaHom):
+    """generator -> c when every image is c times its generator, else None."""
+    if all(list(img.terms) == [((g, 1),)] for g, img in h.images.items()):
+        return {g: img.terms[((g, 1),)] for g, img in h.images.items()}
+    return None
+
+
+@lru_cache(maxsize=None)
+def _torus(k: int, truncated: bool = True):
+    return toroidify(model_s4(), k, truncated)
+
+
+@lru_cache(maxsize=256)
+def _monomials(model, degree):
+    return _monomials_of_degree(model.generators, degree)
+
+
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@st.composite
+def images_of_degree(draw, target, degree):
+    """A random combination of up to three monomials of the given degree."""
+    monos = _monomials(target, degree)
+    img = Element.zero()
+    if monos:
+        for mono in draw(st.lists(st.sampled_from(monos), max_size=3)):
+            img = img + Element.monomial(mono, draw(coefficients))
+    return img
+
+
+@st.composite
+def diagonal_homs(draw):
+    """A diagonal map of a model to itself: a torus element at k <= 4, or
+    random scales on a random semifree model.  Half the time one scale is
+    then made wrong, so that even a torus element fails the chain check."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 4))
+        t = draw(st.lists(nonzero_coefficients, min_size=k + 1,
+                          max_size=k + 1))
+        model = _torus(k)
+        images = dict(torus_automorphism(t, k, model).images)
+    else:
+        model = draw(semifree_models())
+        images = {g: Element.gen(g, draw(nonzero_coefficients))
+                  for g in model.generators}
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(model.generators))
+        images[g] = images[g] * draw(nonzero_coefficients.filter(
+            lambda c: c != 1))
+    return DgcaHom(model, model, images, name="diag")
+
+
+@st.composite
+def general_homs(draw):
+    """A map of a random semifree model to itself or to another one, whose
+    images are random combinations of monomials, zero included; or random
+    scales into a copy of the model with other differentials, a diagonal
+    map that is no endomorphism."""
+    source = draw(semifree_models())
+    kind = draw(st.integers(0, 2))
+    if kind == 2:
+        target = draw(semifree_models(source))
+        images = {g: Element.gen(g, draw(nonzero_coefficients))
+                  for g in source.generators}
+    else:
+        target = source if kind == 0 else draw(semifree_models())
+        images = {g: draw(images_of_degree(target, g.degree))
+                  for g in source.generators}
+    return DgcaHom(source, target, images, name="gen")
+
+
+@st.composite
+def adjunction_homs(draw):
+    """hom_backward of a map F over Q[w] of the untruncated torus model at
+    k <= 2 (a scaling, or random images), which maps S4 into the
+    totalization, or hom_forward of that, out of a fresh torus model; in
+    both, source is not target."""
+    k = draw(st.integers(1, 2))
+    trd = _torus(k, False)
+    if draw(st.booleans()):
+        F = scaling_endo(trd, draw(nonzero_coefficients))
+    else:
+        F = DgcaHom(trd, trd, {
+            g: Element.gen(g) if g.is_w
+            else draw(images_of_degree(trd, g.degree))
+            for g in trd.generators}, name="F")
+    f = hom_backward(F)
+    return f if draw(st.booleans()) else hom_forward(f)
+
+
+homs = st.one_of(diagonal_homs(), general_homs(), adjunction_homs())
+
+
+@given(homs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_hom_apply_matches_the_element_loop(h, data):
+    """apply, and `_add_to` subtracting into a term dict that already holds
+    terms; and `diagonal` is read off the images."""
+    x = data.draw(elements(h.source))
+    y = data.draw(elements(h.target))
+    want = _ref_hom_apply(h, x)
+    assert h.apply(x) == want
+    # one call meets a factor to several powers: the powers are cached
+    x2 = x * x + x
+    assert h.apply(x2) == _ref_hom_apply(h, x2)
+    acc = dict(y.terms)
+    assert h._add_to(acc, x, -1) is acc
+    assert all(acc.values())  # cancelled terms are deleted
+    assert Element(_raw=acc) == y - want
+    assert h.diagonal == _ref_diagonal(h)
+
+
+@st.composite
+def compose_cases(draw):
+    """(outer, inner): inner maps the outer map's source, or a random
+    semifree model, into the outer map's source; by random images, or by
+    random scales when it is an endomorphism."""
+    outer = draw(homs)
+    mid = outer.source
+    if draw(st.booleans()):
+        inner = DgcaHom(mid, mid, {
+            g: Element.gen(g, draw(nonzero_coefficients))
+            for g in mid.generators}, name="diag")
+    else:
+        source = mid if draw(st.booleans()) else draw(semifree_models())
+        inner = DgcaHom(source, mid, {
+            g: draw(images_of_degree(mid, g.degree))
+            for g in source.generators}, name="gen")
+    return outer, inner
+
+
+@given(compose_cases())
+@settings(max_examples=150, deadline=None)
+def test_hom_compose_matches_the_element_loop(case):
+    outer, inner = case
+    got = outer.compose(inner)
+    assert got.source is inner.source and got.target is outer.target
+    assert got.images == {g: _ref_hom_apply(outer, img)
+                          for g, img in inner.images.items()}
+    assert got.diagonal == _ref_diagonal(got)
+
+
+@given(homs)
+@settings(max_examples=200, deadline=None)
+def test_chain_map_check_matches_the_element_loop(h):
+    """The failure lists, in order: the closed form for a diagonal map of a
+    model to itself, one term dict per generator otherwise."""
+    report = is_chain_map(h)
+    got = [(f.generator, f.residue) for f in report.failures]
+    assert got == _ref_chain_residues(h)
+    assert report.checked == len(h.source.generators)
+    for _, residue in got:
+        _assert_exact(_element_coeffs(residue))
+
+
+def test_closed_form_reports_a_wrong_scale():
+    model = _torus(3)
+    h = torus_automorphism((2, Fraction(-1, 3), 5, Fraction(7, 2)), 3, model)
+    assert h.diagonal is not None and is_chain_map(h).ok
+    g = model.generator("s1g4")
+    images = dict(h.images)
+    images[g] = images[g] * Fraction(3, 2)
+    bad = DgcaHom(model, model, images)
+    assert bad.diagonal is not None
+    failures = [(f.generator, f.residue) for f in is_chain_map(bad).failures]
+    assert failures == _ref_chain_residues(bad)
+    # s1g4 and every generator whose differential uses it
+    assert [name for name, _ in failures] == \
+        [x.name for x in model.reached_from([g])]
+    assert len(failures) > 1
 
 
 # -- JSON writer --------------------------------------------------------------
