@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Element, Generator, Scalar, element_text, s_indices_of
 from .cartan import eps_on_h, simple_roots
@@ -102,19 +101,17 @@ def _g4_pos(model: Dgca) -> int:
 
 def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
     """Diagonal derivation multiplying each generator by its weight on h."""
-    return Derivation(0, {g: Element.gen(g, c)
-                          for g, c in _pairings(model, h).items()},
-                      model, name=name)
+    return Derivation(0, _h_images(model, h), model, name=name)
 
 
-def _pairings(model: Dgca, h: Sequence) -> Dict[Generator, Scalar]:
-    """Generator -> its weight on h, for the generators where it is not 0."""
-    out: Dict[Generator, Scalar] = {}
+def _h_images(model: Dgca, h: Sequence) -> Dict[Generator, Element]:
+    """Generator -> its weight on h times itself, where that is not 0."""
+    images: Dict[Generator, Element] = {}
     for g, w in model.weights.items():
         c = eps_on_h(w, h)
         if c:
-            out[g] = c
-    return out
+            images[g] = Element.gen(g, c)
+    return images
 
 
 def _unit_h(k: int, j: int) -> Tuple[int, ...]:
@@ -174,11 +171,6 @@ def build_action(k: int, model: Optional[Dgca] = None) -> ChevalleyAction:
 # verification
 # ---------------------------------------------------------------------------
 
-#: the operator a relation check wants: a derivation, a diagonal operator
-#: as generator -> c, or None for zero
-_Wanted = Union[Derivation, Dict[Generator, Scalar], None]
-
-
 class VerifyReport:
     """Outcome of the relation checks for one rank."""
 
@@ -213,38 +205,38 @@ class VerifyReport:
         return f"VerifyReport(k={self.k}, {state})"
 
 
-def _operator_residues(name: str, want: _Wanted, got: Derivation,
-                       scale: Scalar = 1) -> List[Failure]:
+def _operator_residues(name: str, want: Optional[Dict[Generator, Element]],
+                       got: Derivation, scale: Scalar = 1) -> List[Failure]:
     """One failure per generator where got differs from scale * want, in
     generator order, with residue got(g) - scale * want(g).
 
-    `want` is a derivation, a diagonal operator given as generator -> c
-    for its images c g, or None; `want=None` or `scale=0` stands for the
-    zero operator.  Images are compared term by term; a residue is built
-    only for a mismatch.
+    `want` maps generators to the wanted images; `want=None` or `scale=0`
+    stands for the zero operator.  Images are compared term by term; a
+    residue is built only for a mismatch.
     """
     failures = []
     model = got.model
     got_images = got.images
-    diagonal = isinstance(want, dict)
-    want_images = {} if want is None or not scale else \
-        want if diagonal else want.images
+    want_images = want if want is not None and scale else {}
     for g in model.in_order(got_images.keys() | want_images.keys()):
         x, y = got_images.get(g), want_images.get(g)
         if y is None:
             residue = x
         else:
-            y = {((g, 1),): y} if diagonal else y.terms
-            if x is not None and len(x.terms) == len(y) and all(
-                    x.terms.get(mono) == c * scale for mono, c in y.items()):
+            if x is not None and len(x.terms) == len(y.terms) and all(
+                    x.terms.get(mono) == c * scale
+                    for mono, c in y.terms.items()):
                 continue
-            residue = (x or Element.zero()) - Element(_raw=y) * scale
+            residue = (x or Element.zero()) - y * scale
         failures.append(Failure(name, model.name_of(g), residue))
     return failures
 
 
-def _relation_report(check: str, cases: Iterable[Tuple[
-        str, Derivation, _Wanted, Scalar]]) -> CheckReport:
+def _relation_report(
+        check: str,
+        cases: Iterable[Tuple[str, Derivation,
+                              Optional[Dict[Generator, Element]], Scalar]]
+) -> CheckReport:
     """Run `_operator_residues` on each (name, got, want, scale) case."""
     failures = []
     checked = 0
@@ -290,7 +282,7 @@ def verify_action(a: ChevalleyAction,
     def cartan_cases():
         for j, h_op in enumerate(h_ops):
             for op, shift in signed:
-                yield (f"[h{j},{op.name}]", bracket(h_op, op), op,
+                yield (f"[h{j},{op.name}]", bracket(h_op, op), op.images,
                        eps_on_h(shift, _unit_h(a.k, j)))
             for j2 in range(j + 1, a.k + 1):
                 yield f"[h{j},h{j2}]", bracket(h_op, h_ops[j2]), None, 1
@@ -298,7 +290,7 @@ def verify_action(a: ChevalleyAction,
     def ef_cases():
         for i, e_op in a.e.items():
             for j, f_op in a.f.items():
-                want = _pairings(model, a.simple_roots[i]) \
+                want = _h_images(model, a.simple_roots[i]) \
                     if i == j else None
                 yield f"[e{i},f{j}]", bracket(e_op, f_op), want, 1
 

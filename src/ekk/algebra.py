@@ -464,6 +464,18 @@ class Element:
         return element_text(self)
 
 
+def _diagonal_scales(images: Dict[Generator, Element]
+                     ) -> Optional[Dict[Generator, Scalar]]:
+    """Generator -> c when every image is c times its own generator."""
+    out: Dict[Generator, Scalar] = {}
+    for g, img in images.items():
+        c = img.terms.get(((g, 1),))
+        if c is None or len(img.terms) != 1:
+            return None
+        out[g] = c
+    return out
+
+
 def print_terms(x: Element) -> List[Tuple[Scalar, Monomial]]:
     """The (coefficient, factors) terms of x in print order.
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import (Element, Generator, Monomial, Scalar, UniverseError,
-                      _acc, _q, monomial_degree, monomial_product,
-                      s_insertion_sign)
+                      _acc, _diagonal_scales, _q, monomial_degree,
+                      monomial_product, s_insertion_sign)
 from .dgca import CheckReport, Dgca, Failure, monomial_weight
 
 __all__ = [
@@ -50,7 +50,7 @@ class Derivation:
         self.name = name
         #: generator -> weight when the derivation has degree 0 and maps
         #: every generator to a multiple of itself, else None
-        self.diagonal = _weights(self.images) if degree == 0 else None
+        self.diagonal = _diagonal_scales(self.images) if degree == 0 else None
 
     @property
     def linear(self) -> bool:
@@ -167,18 +167,6 @@ def _check_same_model(verb: str, d1: Derivation, d2: Derivation) -> None:
             d2.model.generator_set != d1.model.generator_set:
         raise UniverseError(f"cannot {verb} derivations of {d1.model.label}"
                             f" and {d2.model.label}")
-
-
-def _weights(images: Dict[Generator, Element]
-             ) -> Optional[Dict[Generator, Scalar]]:
-    """Generator -> c when every image is c times its own generator."""
-    out: Dict[Generator, Scalar] = {}
-    for g, img in images.items():
-        c = img.terms.get(((g, 1),))
-        if c is None or len(img.terms) != 1:
-            return None
-        out[g] = c
-    return out
 
 
 def s_derivation(i: int, m: Dgca) -> Derivation:

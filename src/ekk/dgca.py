@@ -23,6 +23,7 @@ from .algebra import (
     Scalar,
     UniverseError,
     _acc,
+    _diagonal_scales,
     _mul_into,
     _q,
     monomial_product,
@@ -265,24 +266,15 @@ class DgcaHom:
             g = next(g for g in self.images if g in foreign)
             raise UniverseError(f"{g.name} is not a generator of "
                                 f"{source.label}")
-        in_target = target.generator_set
-        diagonal: Optional[Dict[Generator, Scalar]] = {}
         for g in source.generators:
             img = self.images.get(g)
             if img is None:
                 raise ValueError(f"hom misses image of {g.name}")
-            if diagonal is not None:
-                # c g, with g in the target, passes both checks below
-                c = img.terms.get(((g, 1),)) if len(img.terms) == 1 else None
-                if c is not None and g in in_target:
-                    diagonal[g] = c
-                    continue
-                diagonal = None
             if not img.is_zero and not img.is_homogeneous(g.degree):
                 raise ValueError(
                     f"hom image of {g.name} is not of degree {g.degree}")
             target.check_element(img)
-        self.diagonal = diagonal
+        self.diagonal = _diagonal_scales(self.images)
 
     def apply(self, x: Element) -> Element:
         return Element(_raw=self._add_to({}, x, 1))
@@ -292,27 +284,19 @@ class DgcaHom:
         """Add sign * h(x) into the term dict `acc` (sign is 1 or -1) and
         return it.
 
-        The images of a term's factors are multiplied left to right into
-        one term dict, which is then added into `acc`; a power of an image
-        is computed once per call.
+        The images of a term's factors, each as often as its exponent, are
+        multiplied left to right into one term dict, which is then added
+        into `acc`.
         """
         images = self.images
-        powers: Dict[Tuple[Generator, int], Dict[Monomial, Scalar]] = {}
         for mono, coeff in x.terms.items():
             prod = {(): coeff if sign > 0 else -coeff}
             for g, e in mono:
                 img = images.get(g)
                 if img is None:
                     raise UniverseError(f"hom has no image for {g.name}")
-                terms = img.terms
-                if e > 1:
-                    if (g, e) not in powers:
-                        power = terms
-                        for _ in range(e - 1):
-                            power = _mul_into({}, power, terms)
-                        powers[g, e] = power
-                    terms = powers[g, e]
-                prod = _mul_into({}, prod, terms)
+                for _ in range(e):
+                    prod = _mul_into({}, prod, img.terms)
                 if not prod:
                     break
             for m, c in prod.items():

@@ -6,8 +6,7 @@ its image.  `bracket` visits only the generators its operands move, skips
 a leg whose image holds no generator the other operand moves, and with a
 diagonal operand h uses the closed form [h, D] g = sum over the terms t of
 D g of (h(t) - h(g)) t, and [D, h] = -[h, D].  `_operator_residues`
-compares images with a multiple of the wanted operator term by term, the
-wanted operator a derivation or a diagonal one given as generator -> c.
+compares images with a multiple of the wanted images term by term.
 `differential_residues` takes a list of operators and visits, once for
 all of them, only the generators they move and those whose differential
 uses one, found through the model's reverse index; each factor's cofactor
@@ -19,10 +18,10 @@ must sort like the tuple (family, position, decoration indices),
 `_element_from_names` folds each named term straight into one monomial,
 and the decorated constructors take one decoration step per generator.
 `dump_json` writes the indent-2 text of `json.dumps` itself.
-An algebra map multiplies its images into one term dict, with the powers
-of an image cached per call, in `apply`, `compose` and `is_chain_map`; a
-diagonal map of a model to itself is checked in closed form.  Both are
-checked against the Element-level loop of `*`, `**` and `+`.
+An algebra map multiplies its images into one term dict in `apply`,
+`compose` and `is_chain_map`; a diagonal map of a model to itself is
+checked in closed form.  Both are checked against the Element-level loop
+of `*`, `**` and `+`.
 The derivation-space solver reads its rows straight off d, with no unit
 derivation per unknown, and eliminates them fraction-free; the rows are
 checked against unit derivations and the elimination against dense
@@ -313,18 +312,11 @@ def test_linear_bracket_composes_like_the_reference(case):
     _assert_int_where_integral(got)
 
 
-def _wanted_image(want, g):
-    """want(g), for a derivation or a diagonal operator given as g -> c."""
-    if isinstance(want, dict):
-        return Element.gen(g, want.get(g, 0))
-    return want.image(g)
-
-
 def _ref_residues(name, want, got, scale):
     """got(g) - scale * want(g) on every generator of the model."""
     out = []
     for g in got.model.generators:
-        wanted = scale * _wanted_image(want, g) if want is not None \
+        wanted = scale * want.get(g, Element.zero()) if want is not None \
             else Element.zero()
         residue = got.image(g) - wanted
         if not residue.is_zero:
@@ -334,19 +326,17 @@ def _ref_residues(name, want, got, scale):
 
 @st.composite
 def operator_residue_cases(draw):
-    """(want, got, scale): got is scale * want, or the zero operator when
-    want is None, with a few images replaced or changed at random.  want
-    is a derivation or a diagonal operator given as generator -> c."""
+    """(want, got, scale): want is the images of a derivation or None, and
+    got is scale * want, or the zero operator when want is None, with a few
+    images replaced or changed at random."""
     k = draw(st.integers(1, 3))
     model = _setting(k)[0]
-    want = draw(st.one_of(st.none(), derivations(k), diagonal_derivations(
-        k).map(lambda h: h.diagonal)))
+    D = draw(st.one_of(st.none(), derivations(k)))
+    want = D.images if D is not None else None
     scale = draw(st.one_of(st.sampled_from((0, 1, -1, 2, Fraction(1, 2))),
                            coefficients))
-    degree = want.degree if isinstance(want, Derivation) else 0
-    images = {} if want is None else {
-        g: img for g in model.generators
-        if not (img := scale * _wanted_image(want, g)).is_zero}
+    degree = D.degree if D is not None else 0
+    images = dict((scale * D).images) if D is not None else {}
     for g in draw(st.lists(st.sampled_from(model.generators), max_size=3)):
         if draw(st.booleans()):
             images[g] = images.get(g, Element.zero()) + draw(elements(model))
@@ -369,7 +359,7 @@ def test_operator_residues_scale_zero_and_fraction():
     e3 = next(D for D in ops if D.name == "e3")
     g = model.generator("s1s2s3g7")
     # scale 0: the wanted operator is zero, so every image of got fails
-    failures = _operator_residues("op", e3, e3, 0)
+    failures = _operator_residues("op", e3.images, e3, 0)
     assert [f.generator for f in failures] == \
         [model.name_of(h) for h in model.generators if h in e3.images]
     assert all(f.residue == e3.image(model.generator(f.generator))
@@ -378,11 +368,12 @@ def test_operator_residues_scale_zero_and_fraction():
     half = Fraction(1, 2) * e3
     images = dict(half.images)
     images[g] = e3.image(g)
-    failures = _operator_residues("op", e3, Derivation(0, images, model),
+    failures = _operator_residues("op", e3.images,
+                                  Derivation(0, images, model),
                                   Fraction(1, 2))
     assert [(f.generator, f.residue) for f in failures] == \
         [("s1s2s3g7", Fraction(1, 2) * e3.image(g))]
-    assert _operator_residues("op", e3, half, Fraction(1, 2)) == []
+    assert _operator_residues("op", e3.images, half, Fraction(1, 2)) == []
 
 
 @st.composite
@@ -1078,7 +1069,7 @@ def test_hom_apply_matches_the_element_loop(h, data):
     y = data.draw(elements(h.target))
     want = _ref_hom_apply(h, x)
     assert h.apply(x) == want
-    # one call meets a factor to several powers: the powers are cached
+    # an element whose terms hold a factor to several powers
     x2 = x * x + x
     assert h.apply(x2) == _ref_hom_apply(h, x2)
     acc = dict(y.terms)
