@@ -9,8 +9,10 @@ relations, [e,f] pairs, Serre relations, and weight additivity.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Element, Generator, Scalar, element_text, s_indices_of
@@ -55,10 +57,8 @@ def _small_images(i: int, model: Dgca, raising: bool
                 images[g] = Element.gen(Generator.w(w_dst))
         elif g.is_decorated_base:
             if (g.s_bits & bit_src) and not (g.s_bits & bit_dst):
-                target = Generator.decorated(
-                    g.base, g.base_pos, g.base_degree,
-                    (g.s_bits & ~bit_src) | bit_dst)
-                if target in model.generator_set:
+                target = model.redecorated(g, (g.s_bits & ~bit_src) | bit_dst)
+                if target is not None:
                     images[g] = Element.gen(target, -1)
     return images
 
@@ -88,15 +88,11 @@ def _e_top_images(model: Dgca) -> Dict[Generator, Element]:
             images[g] = Element.gen(Generator.w(missing),
                                     _PERM_SIGN[idx])
         elif g.base == "g7" and low == low_mask:
-            target = Generator.decorated("g4", _g4_pos(model), 4, high)
-            if target in model.generator_set:
+            target = model.redecorated(model.generator("g4"), high)
+            if target is not None:
                 sign = -1 if high.bit_count() & 1 else 1
                 images[g] = Element.gen(target, sign)
     return images
-
-
-def _g4_pos(model: Dgca) -> int:
-    return model.generator("g4").base_pos
 
 
 def h_derivation(model: Dgca, h: Sequence, name: str = "h") -> Derivation:
@@ -379,8 +375,10 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
     """Rank of the traceless-matrix subalgebra image inside the derivations.
 
     Builds the k^2 - 1 standard basis images by nested brackets of the
-    simple raising/lowering operators and row-reduces their flattened
-    matrices; the action is faithful iff the rank is k^2 - 1.
+    simple raising/lowering operators and row-reduces their images,
+    flattened into one sparse row per operator with a column per
+    (generator, image monomial); the action is faithful iff the rank is
+    k^2 - 1.
     """
     k = a.k
     if k < 2:
@@ -396,12 +394,12 @@ def gravity_line_rank(a: ChevalleyAction) -> int:
             ops += [up, down]
     ops.extend(h_derivation(a.model, a.simple_roots[i]) for i in range(1, k))
 
-    gen_index = {g: n for n, g in enumerate(a.model.generators)}
-    n = len(gen_index)
-    rows = []
-    for op in ops:
-        row: Dict[int, Fraction] = {}
-        for (src, dst), c in op.linear_matrix().items():
-            row[gen_index[src] * n + gen_index[dst]] = c
-        rows.append(row)
+    # one column per (generator, image monomial), numbered on first sight;
+    # nested dicts build no key tuple per column
+    new_col = count().__next__
+    cols = defaultdict(lambda: defaultdict(new_col))
+    rows = [{cols[g][mono]: c
+             for g, img in op.images.items()
+             for mono, c in img.terms.items()}
+            for op in ops]
     return sparse_rank(rows)

@@ -82,8 +82,7 @@ def cmd_model(ns) -> Tuple[bool, dict, str]:
         raise _UsageError(f"--space {ns.space} needs --k {fixed_rank}")
     model = _build_space(ns)
     if ns.format == "json":
-        weights = None if ns.untruncated else model.weights
-        return True, model_payload(model, weights), ""
+        return True, model_payload(model, model.weights), ""
     return True, {}, (model_latex if ns.format == "latex" else model_text)(model)
 
 

@@ -41,11 +41,7 @@ class Derivation:
                  model: Dgca, name: str = ""):
         self.degree = degree
         self.images = {g: img for g, img in images.items() if not img.is_zero}
-        foreign = self.images.keys() - model.generator_set
-        if foreign:
-            g = next(g for g in self.images if g in foreign)
-            raise UniverseError(f"{g.name} is not a generator of "
-                                f"{model.label}")
+        model.check_generators(self.images)
         self.model = model
         self.name = name
         #: generator -> weight when the derivation has degree 0 and maps
@@ -126,13 +122,6 @@ class Derivation:
                 pre += block
         return acc
 
-    def linear_matrix(self) -> Dict[Tuple[Generator, Generator], Scalar]:
-        """Sparse matrix (source gen, target gen) -> coefficient."""
-        if not self.linear:
-            raise ValueError(f"{self.name or 'derivation'} is not linear")
-        return {(g, mono[0][0]): c for g, img in self.images.items()
-                for mono, c in img.terms.items()}
-
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.degree != other.degree:
             raise ValueError("cannot add derivations of different degree")
@@ -183,9 +172,8 @@ def s_derivation(i: int, m: Dgca) -> Derivation:
     for g in m.generators:
         if not g.is_decorated_base or g.s_bits & bit:
             continue
-        target = Generator.decorated(g.base, g.base_pos, g.base_degree,
-                                     g.s_bits | bit)
-        if target in m.generator_set:
+        target = m.redecorated(g, g.s_bits | bit)
+        if target is not None:
             images[g] = Element.gen(target, s_insertion_sign(g.s_bits, i))
     return Derivation(-1, images, m, name=f"s{i}")
 
@@ -211,8 +199,9 @@ def bracket(d1: Derivation, d2: Derivation) -> Derivation:
         if D.diagonal is None:
             for g in model.in_order(D.images):
                 terms = {}
+                own = -weights.get(g, 0)
                 for mono, coeff in D.images[g].terms.items():
-                    s = -weights.get(g, 0)
+                    s = own
                     for f, e in mono:
                         s += weights.get(f, 0) * e
                     if s:
@@ -251,10 +240,11 @@ def differential_residues(ops: Sequence[Derivation]
     """Per operator D in ops, the nonzero residues [d, D] g as (g, residue)
     in model order.
 
-    [d, D] g = d(D g) - (-1)^{|D|} D(d g) is zero unless D moves g or d g
-    uses a generator D moves, so only those generators are visited, once
-    for all operators.  Each factor of a term of d g is split off once, and
-    its cofactor and signs serve every operator that moves it.
+    [d, D] g = d(D g) - (-1)^{|D|} D(d g).  The model's generators are
+    visited once, in order, for all operators; a generator that no
+    operator moves, and whose d uses nothing moved, adds no term.  Each
+    factor of a term of d g is split off once, and its cofactor and signs
+    serve every operator that moves it.
     """
     out: List[List[Tuple[Generator, Element]]] = [[] for _ in ops]
     if not ops:
@@ -274,7 +264,7 @@ def differential_residues(ops: Sequence[Derivation]
             else:
                 movers.setdefault(g, []).append((j, D.degree & 1, img))
     d = m.differential_derivation()
-    for x in m.reached_from(scales.keys() | movers.keys()):
+    for x in m.generators:
         accs: Dict[int, Dict[Monomial, Scalar]] = {}
         for j, _, img in movers.get(x, ()):
             d._add_to(accs.setdefault(j, {}), img, 1)

@@ -122,7 +122,6 @@ class Dgca:
         self._by_name = {g.name: g for g in self.generators}
         self._position = {g: i for i, g in enumerate(self.generators)}
         self._d = None
-        self._reach = None
         self._weights = None
         self._validate()
 
@@ -175,6 +174,22 @@ class Dgca:
             raise UniverseError(f"{exc.args[0].name} is not a generator "
                                 f"of {self.label}") from None
 
+    def check_generators(self, gens: Iterable[Generator]) -> None:
+        """Raise `UniverseError` naming the first of `gens` that is not a
+        generator of the model."""
+        known = self.generator_set
+        for g in gens:
+            if g not in known:
+                raise UniverseError(f"{g.name} is not a generator of "
+                                    f"{self.label}")
+
+    def redecorated(self, g: Generator, s_bits: int) -> Optional[Generator]:
+        """g's base symbol under the decorations `s_bits`, or None when the
+        model has no such generator (truncation dropped it)."""
+        target = Generator.decorated(g.base, g.base_pos, g.base_degree,
+                                     s_bits)
+        return target if target in self.generator_set else None
+
     def name_of(self, g: Generator) -> str:
         return self.display.get(g, g.name)
 
@@ -192,31 +207,6 @@ class Dgca:
             self._d = Derivation(degree=1, images=self.diff, model=self,
                                  name="d")
         return self._d
-
-    def reached_from(self, moved: Iterable[Generator]) -> List[Generator]:
-        """Generators, in model order, that are in `moved` or whose
-        differential uses a generator in `moved`.
-
-        A derivation D that moves only `moved` has [d, D] g = 0 on every
-        other generator g, by the Leibniz rule.  The reverse index behind
-        this is built on first use; it holds generator positions as tuples,
-        which take far less memory than sets.
-        """
-        if self._reach is None:
-            users: Dict[Generator, List[int]] = {
-                g: [] for g in self.generators}
-            for i, g in enumerate(self.generators):
-                users[g].append(i)
-                for h in self.diff[g].generators():
-                    if h is not g:
-                        users[h].append(i)
-            self._reach = {g: tuple(pos) for g, pos in users.items()}
-        reach = self._reach
-        hit = set()
-        for g in moved:
-            hit.update(reach.get(g, ()))
-        gens = self.generators
-        return [gens[i] for i in sorted(hit)]
 
     @property
     def weights(self) -> Dict[Generator, WeightVector]:
@@ -261,11 +251,7 @@ class DgcaHom:
         self.target = target
         self.images = dict(images)
         self.name = name
-        foreign = self.images.keys() - source.generator_set
-        if foreign:
-            g = next(g for g in self.images if g in foreign)
-            raise UniverseError(f"{g.name} is not a generator of "
-                                f"{source.label}")
+        source.check_generators(self.images)
         for g in source.generators:
             img = self.images.get(g)
             if img is None:
@@ -477,9 +463,8 @@ def _decorated_model(m: Dgca, k: int, truncated: bool, with_w: bool) -> Dgca:
             continue
         img = base_diff[v.base]
         for w in w_gens:
-            s_v = Generator.decorated(v.base, v.base_pos, v.base_degree,
-                                      1 << (w.index - 1))
-            if s_v in shell.generator_set:
+            s_v = shell.redecorated(v, 1 << (w.index - 1))
+            if s_v is not None:
                 img = img + Element.gen(w) * Element.gen(s_v)
         twisted[v.base] = img
     diff: Dict[Generator, Element] = {w: Element.zero() for w in w_gens}
@@ -490,8 +475,7 @@ def _decorated_model(m: Dgca, k: int, truncated: bool, with_w: bool) -> Dgca:
         bits = g.s_bits
         if bits:
             low = bits & -bits
-            shorter = Generator.decorated(g.base, g.base_pos, g.base_degree,
-                                          bits ^ low)
+            shorter = shell.redecorated(g, bits ^ low)
             diff[g] = -s_ops[low.bit_length() - 1].apply(diff[shorter])
         else:
             diff[g] = twisted[g.base]

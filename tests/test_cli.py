@@ -14,7 +14,7 @@ import pytest
 import ekk
 from ekk.adjunction import totalize
 from ekk.cli import main
-from ekk.dgca import model_s4, semifree_model, toroidify
+from ekk.dgca import model_s4, semifree_model, toroidify, weight_of
 from ekk.reports import _latex_name, model_from_payload, model_payload
 
 
@@ -250,6 +250,11 @@ def test_model_untruncated_flag(capsys):
     assert "s1s2s3s4g4" in names
     truncated_names = {g.name for g in toroidify(model_s4(), 4).generators}
     assert "s1s2s3s4g4" not in truncated_names
+    # ~T^4 carries weights too
+    untruncated = toroidify(model_s4(), 4, truncated=False)
+    for entry in payload["generators"]:
+        g = untruncated.generator(entry["name"])
+        assert entry["weight"] == list(weight_of(g, 4))
 
 
 def test_verify_payload_schema(capsys):

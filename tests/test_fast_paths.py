@@ -7,11 +7,9 @@ a leg whose image holds no generator the other operand moves, and with a
 diagonal operand h uses the closed form [h, D] g = sum over the terms t of
 D g of (h(t) - h(g)) t, and [D, h] = -[h, D].  `_operator_residues`
 compares images with a multiple of the wanted images term by term.
-`differential_residues` takes a list of operators and visits, once for
-all of them, only the generators they move and those whose differential
-uses one, found through the model's reverse index; each factor's cofactor
-and signs are shared by every operator that moves it, whatever its
-parity.  Coefficients are stored as int whenever they are integral.  On
+`differential_residues` takes a list of operators and walks the model's
+generators once for all of them; each factor's cofactor and signs are
+shared by every operator that moves it, whatever its parity.  Coefficients are stored as int whenever they are integral.  On
 the model-building side, `monomial_product` inserts a one-factor left
 operand by a single walk and compares generators by one int key, which
 must sort like the tuple (family, position, decoration indices),
@@ -388,8 +386,8 @@ def residue_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_residues_match_full_generator_scan(ops):
     """[d, D] on every generator of the model, clean or corrupted, for each
-    D against the one pass over the model's reverse index, which shares
-    each factor's cofactor and signs across operators of both parities."""
+    D against the one pass over the model's generators, which shares each
+    factor's cofactor and signs across operators of both parities."""
     m = ops[0].model
     d = m.differential_derivation()
     got = differential_residues(ops)
@@ -1122,6 +1120,29 @@ def test_chain_map_check_matches_the_element_loop(h):
         _assert_exact(_element_coeffs(residue))
 
 
+_torus_components = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                              st.integers(1, 5))
+
+
+@given(st.integers(0, 5).flatmap(lambda k: st.lists(
+    _torus_components, min_size=k + 1, max_size=k + 1)))
+@settings(max_examples=100, deadline=None)
+def test_torus_scales_match_the_fraction_product(t):
+    """Each c_g, built from integer products of the t_j's numerators and
+    denominators, is prod_j t_j^(-w_j) over Fraction, w the weight of g."""
+    k = len(t) - 1
+    model = _torus(k)
+    h = torus_automorphism(t, k, model)
+    weights = model.weights
+    for g in model.generators:
+        want = Fraction(1)
+        for tj, wj in zip(t, weights[g]):
+            want *= Fraction(tj) ** -wj
+        assert h.images[g].terms == {((g, 1),): want}
+        _assert_exact(_element_coeffs(h.images[g]))
+    assert h.diagonal is not None
+
+
 def test_closed_form_reports_a_wrong_scale():
     model = _torus(3)
     h = torus_automorphism((2, Fraction(-1, 3), 5, Fraction(7, 2)), 3, model)
@@ -1135,7 +1156,8 @@ def test_closed_form_reports_a_wrong_scale():
     assert failures == _ref_chain_residues(bad)
     # s1g4 and every generator whose differential uses it
     assert [name for name, _ in failures] == \
-        [x.name for x in model.reached_from([g])]
+        [x.name for x in model.generators
+         if x is g or g in set(model.diff[x].generators())]
     assert len(failures) > 1
 
 
